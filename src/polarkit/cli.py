@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 argument/validation error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +23,20 @@ from .fqlin import FqMatrix, kron
 BUILTIN_KERNELS = ("arikan", "arikan2", "hamming7")
 
 
+@functools.lru_cache(maxsize=None)
+def _hamming7() -> FqMatrix:
+    """The verified Hamming-block kernel, built once: FqMatrix is immutable."""
+    return kernelscope.build_high_distance_kernel(2, 7, 1).matrix
+
+
+def _read_json(spec: str):
+    """An inline JSON literal, or the contents of the JSON file it names."""
+    if spec.strip().startswith("{"):
+        return json.loads(spec)
+    with open(spec) as fh:
+        return json.load(fh)
+
+
 def resolve_kernel(spec: str, q: int) -> FqMatrix:
     """Kernel from a builtin name, a JSON file path, or an inline JSON literal."""
     if spec == "arikan":
@@ -30,17 +45,14 @@ def resolve_kernel(spec: str, q: int) -> FqMatrix:
         m = FqMatrix(q, [[1, 0], [1, 1]])
         return kron(m, m)
     if spec == "hamming7":
-        return kernelscope.build_high_distance_kernel(2, 7, 1).matrix
-    if spec.strip().startswith("{"):
-        return FqMatrix.from_dict(json.loads(spec))
-    with open(spec) as fh:
-        return FqMatrix.from_dict(json.load(fh))
+        return _hamming7()
+    return FqMatrix.from_dict(_read_json(spec))
 
 
 def resolve_channel(spec: str, q: int) -> channels.Channel:
     """Channel from 'erasure:Z', 'qsc:EPS', or a JSON file / inline literal."""
     if spec.strip().startswith("{") or spec.endswith(".json"):
-        raw = json.loads(spec) if spec.strip().startswith("{") else json.load(open(spec))
+        raw = _read_json(spec)
         kind = raw.get("kind", "table")
         if kind == "qsc":
             return channels.make_qsc(raw["q"], raw["param"])

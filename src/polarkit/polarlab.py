@@ -47,6 +47,10 @@ UNDERFLOW_FLOOR = 1e-300
 DEFAULT_PATTERN_BUDGET = 1 << 20
 DEFAULT_TREE_BUDGET = 10**6
 
+#: Children reduced per vectorised step of erasure_polynomials; bounds its
+#: int64 temporaries to a few k x k x _CHUNK arrays.
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class ErasurePolynomialSet:
@@ -81,25 +85,65 @@ class ErasurePolynomialSet:
 def erasure_polynomials(m: FqMatrix, budget=None) -> ErasurePolynomialSet:
     """Enumerate all 2^k erasure patterns of an invertible kernel.
 
-    One row reduction per pattern marks its pivot columns; those are exactly
-    the undetermined outputs.  Supported envelope is k <= 20.
+    Patterns are built one weight layer at a time.  Pattern e + {i} with
+    i > max(e) has the unique parent e, and the reduced row echelon basis of
+    M[e + {i}, :] is the parent's with row M[i] inserted: reduce M[i] against
+    the basis, take the residue's first nonzero column as the new pivot,
+    normalise that row and clear its pivot column from the parent's rows.
+    Whether column j is a pivot of M[e, :] depends only on its column matroid
+    (column j outside the span of the earlier columns), not on row order or
+    pivot rule, so the pivots are exactly the undetermined outputs.
+
+    A basis is a k x k array whose row j is the basis vector with pivot j and
+    zero when j is no pivot, so the pivot mask is its diagonal.  Each layer
+    is kept sorted by max(e), which makes the parents of the children that
+    add row i a prefix of the layer; they are reduced together, _CHUNK at a
+    time in int64.  Layer states use the smallest unsigned dtype that holds
+    q - 1 and at most two layers are alive at once: at the k <= 20 envelope
+    over F_2 that is C(20, 9) + C(20, 10) bases of 400 bytes, 141 MB.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
-    if not m.is_invertible():
+    k, q = m.rows, m.q
+    if len(row_echelon(m.arr, q)[1]) < k:
         raise ValueError("singular kernel")
-    k = m.rows
     budget = enumeration_budget(DEFAULT_PATTERN_BUDGET) if budget is None else budget
     if k > 20 or 2**k > budget:
         raise ValueError(f"pattern enumeration budget exceeded for k={k}")
+    dtype = np.min_scalar_type(q - 1)
     counts = np.zeros((k, k + 1), dtype=np.int64)
-    rows = np.arange(k)
-    for bits in range(1, 2**k):
-        erased = rows[(bits >> rows) & 1 == 1]
-        _, pivots = row_echelon(m.arr[erased], m.q)
-        counts[pivots, len(erased)] += 1
+    layer = np.zeros((1, k, k), dtype=dtype)  # weight 0: the empty pattern
+    for w in range(k):
+        children = np.empty((math.comb(k, w + 1), k, k), dtype=dtype)
+        for i in range(w, k):
+            # parents with max(e) < i are the first C(i, w) of the layer; their
+            # children follow the C(i, w + 1) children whose max is below i
+            row, offset, parents = m.arr[i], math.comb(i, w + 1), math.comb(i, w)
+            for lo in range(0, parents, _CHUNK):
+                basis = layer[lo : min(lo + _CHUNK, parents)].astype(np.int64)
+                residue = (row - row @ basis) % q
+                n = np.arange(len(basis))
+                pivot = (residue != 0).argmax(axis=1)
+                residue = residue * _inverses(residue[n, pivot], q)[:, None] % q
+                basis = (basis - basis[n, :, pivot][:, :, None] * residue[:, None, :]) % q
+                basis[n, pivot] = residue
+                counts[:, w + 1] += basis.diagonal(axis1=1, axis2=2).sum(axis=0)
+                children[offset + lo : offset + lo + len(basis)] = basis
+        layer = children
     counts.flags.writeable = False
     return ErasurePolynomialSet(m, counts)
+
+
+def _inverses(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues mod prime q, as a^(q-2)."""
+    out = np.ones_like(a)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * a % q
+        a = a * a % q
+        e >>= 1
+    return out
 
 
 def _coerce_polys(m) -> ErasurePolynomialSet:

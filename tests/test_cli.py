@@ -1,8 +1,10 @@
 """CLI surface: exit codes, artifacts, reproducibility."""
 
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -142,6 +144,23 @@ def test_channel_resolution_variants():
     assert c2.kind == "erasure"
     with pytest.raises(ValueError):
         resolve_channel("weird:1", 2)
+
+
+def test_channel_from_json_file_closes_its_handle(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"kind": "qsc", "q": 3, "param": 0.1}))
+    # recorded, not raised: a ResourceWarning turned into an error inside a
+    # finalizer is unraisable and would only be reported, never fail the test
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        c = resolve_channel(str(path), 3)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert c.kind == "additive" and c.param == 0.1
+
+
+def test_hamming7_builtin_is_built_once():
+    assert resolve_kernel("hamming7", 2) is resolve_kernel("hamming7", 2)
 
 
 def test_console_entry_point():

@@ -1,10 +1,13 @@
 """Erasure polynomials, tree evolution, sampling, window reports."""
 
+import math
+
 import numpy as np
 import pytest
 
+from polarkit.cli import resolve_kernel
 from polarkit.entropy import erasure_joint, polar_entropies
-from polarkit.fqlin import FqMatrix, kron
+from polarkit.fqlin import FqMatrix, kron, kron_power, random_invertible, row_echelon
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import (
     erasure_polynomials,
@@ -16,6 +19,48 @@ from polarkit.polarlab import (
 )
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
+
+
+def pattern_counts_oracle(m: FqMatrix) -> np.ndarray:
+    """Reference c_j[w]: one row reduction of M[e, :] per erasure pattern e."""
+    k = m.rows
+    counts = np.zeros((k, k + 1), dtype=np.int64)
+    rows = np.arange(k)
+    for bits in range(1, 2**k):
+        erased = rows[(bits >> rows) & 1 == 1]
+        _, pivots = row_echelon(m.arr[erased], m.q)
+        counts[pivots, len(erased)] += 1
+    return counts
+
+
+def assert_counts_match_oracle(m: FqMatrix):
+    counts = erasure_polynomials(m).counts
+    expected = pattern_counts_oracle(m)
+    assert counts.dtype == expected.dtype and counts.shape == expected.shape
+    assert np.array_equal(counts, expected), (m.q, m.rows)
+    assert not counts.flags.writeable
+
+
+# q = 257: q - 1 does not fit the one-byte layer state
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def test_counts_match_oracle_random_invertible(q):
+    rng = np.random.default_rng(40 + q)
+    for k in range(1, 11):
+        assert_counts_match_oracle(random_invertible(q, k, rng))
+
+
+def test_counts_match_oracle_named_kernels():
+    rng = np.random.default_rng(12)
+    assert_counts_match_oracle(kron_power(ARIKAN, 3))
+    assert_counts_match_oracle(resolve_kernel("hamming7", 2))
+    assert_counts_match_oracle(kron(random_mixing(3, 3, rng), random_mixing(3, 4, rng)))
+
+
+def test_pattern_count_identities_at_envelope_edge():
+    k = 20
+    counts = erasure_polynomials(random_invertible(2, k, np.random.default_rng(20))).counts
+    assert [int(counts[:, w].sum()) for w in range(k + 1)] == [w * math.comb(k, w) for w in range(k + 1)]
+    assert np.all(counts[:, k] == 1) and np.all(counts[:, 0] == 0)
 
 
 def test_two_by_two_pattern_counts():
