@@ -3,7 +3,9 @@
 Every run resolves its arguments into a plain spec dictionary that is embedded
 verbatim in the output header, so a result file names the exact experiment
 that produced it.  Outputs are byte-reproducible for a fixed (seed, workers)
-pair: no wall-clock values, stable key order, repr-formatted floats.
+pair: no wall-clock values, stable key order, repr-formatted floats.  The
+result goes to ``--out`` or, without it, alone to stdout; the one-line status
+summary goes to stderr.
 
 Exit codes: 0 success, 2 argument/validation error, 1 runtime failure.
 """
@@ -45,6 +47,8 @@ def resolve_kernel(spec: str, q: int) -> FqMatrix:
         m = FqMatrix(q, [[1, 0], [1, 1]])
         return kron(m, m)
     if spec == "hamming7":
+        if q != 2:
+            raise ValueError(f"the hamming7 kernel is binary; got --q {q}")
         return _hamming7()
     return FqMatrix.from_dict(_read_json(spec))
 
@@ -105,7 +109,7 @@ def cmd_analyze_kernel(args) -> int:
     report = kernelscope.kernel_report(m, block_cols=block)
     spec = _spec_dict(args, ["kernel", "q", "block_cols"])
     _emit_json(report.to_dict(), spec, args.out)
-    print(f"analyze-kernel: mixing={report.mixing} distance={report.distance} eta={report.eta} b={report.b}")
+    print(f"analyze-kernel: mixing={report.mixing} distance={report.distance} eta={report.eta} b={report.b}", file=sys.stderr)
     return 0
 
 
@@ -117,7 +121,7 @@ def cmd_polarize(args) -> int:
     spec = _spec_dict(args, ["kernel", "q", "z", "t", "t_min", "lam", "gamma", "threshold"])
     columns = ["t", "fraction_exp", "fraction_strong", "rate_at_threshold", "underflow_count"]
     _emit_csv(columns, list(report.rows()), spec, args.out)
-    print(f"polarize: levels {start}..{args.t} rho_hat={report.rho_hat!r}")
+    print(f"polarize: levels {start}..{args.t} rho_hat={report.rho_hat!r}", file=sys.stderr)
     return 0
 
 
@@ -134,7 +138,7 @@ def cmd_exponents(args) -> int:
     payload["suction"] = {"eta": eta, "b": b, "b_min": args.b_min}
     spec = _spec_dict(args, ["kernel", "q", "deltas", "b_min"])
     _emit_json(payload, spec, args.out)
-    print(f"exponents: eta={eta} b={b}")
+    print(f"exponents: eta={eta} b={b}", file=sys.stderr)
     return 0
 
 
@@ -148,7 +152,7 @@ def cmd_construct(args) -> int:
     )
     spec = _spec_dict(args, ["kernel", "q", "channel", "t", "rate", "threshold", "seed", "frozen_zero", "genie_trials"])
     _emit_json(code.to_dict(), spec, args.out)
-    print(f"construct: N={code.block_length} rate={code.rate:.4f} frozen={len(code.frozen)}")
+    print(f"construct: N={code.block_length} rate={code.rate:.4f} frozen={len(code.frozen)}", file=sys.stderr)
     return 0
 
 
@@ -174,7 +178,7 @@ def cmd_simulate(args) -> int:
         float(res.ci_high),
     ]
     _emit_csv(columns, [row], spec, args.out)
-    print(f"simulate: N={code.block_length} fer={res.fer:.5f} [{res.ci_low:.5f}, {res.ci_high:.5f}]")
+    print(f"simulate: N={code.block_length} fer={res.fer:.5f} [{res.ci_low:.5f}, {res.ci_high:.5f}]", file=sys.stderr)
     return 0
 
 
@@ -193,7 +197,7 @@ def cmd_distance(args) -> int:
         }
     spec = _spec_dict(args, ["kernel", "matrix", "q", "cols", "ml_eps"])
     _emit_json(payload, spec, args.out)
-    print(f"distance: {payload['distance']} over first {cols} columns")
+    print(f"distance: {payload['distance']} over first {cols} columns", file=sys.stderr)
     return 0
 
 
@@ -208,7 +212,7 @@ def cmd_extract_columns(args) -> int:
     }
     spec = _spec_dict(args, ["kernel", "q", "t0", "s"])
     _emit_json(payload, spec, args.out)
-    print(f"extract-columns: {payload['columns']} distance={payload['distance']}")
+    print(f"extract-columns: {payload['columns']} distance={payload['distance']}", file=sys.stderr)
     return 0
 
 

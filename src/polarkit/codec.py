@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, sample_outputs, validate_symmetric
-from .fqlin import FqMatrix, enumeration_budget, tensor_apply
+from .fqlin import FqMatrix, enumeration_budget, qary_words, tensor_apply
 from .polarlab import evolve_tree
 
 __all__ = [
@@ -112,8 +112,7 @@ class FerResult:
 def _kernel_tables(q: int, k: int, arr_bytes: bytes):
     """Per-kernel precomputation for the SC node: tuples, transforms, one-hots."""
     m = np.frombuffer(arr_bytes, dtype=np.int64).reshape(k, k)
-    idx = np.arange(q**k)
-    tuples = np.stack([(idx // q ** (k - 1 - s)) % q for s in range(k)], axis=1)
+    tuples = qary_words(q, k)
     trans = tuples @ m % q
     onehots = [
         (trans[:, a][:, None] == np.arange(q)[None, :]).astype(np.float64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fqlin import FqMatrix, _as_modulus, enumeration_budget
+from .fqlin import FqMatrix, _as_modulus, enumeration_budget, qary_words
 
 __all__ = [
     "SymbolJoint",
@@ -126,26 +126,56 @@ class EntropyProfile:
         return {"h": [float(x) for x in self.h], "sum": self.total}
 
 
-def _digit_table(base: int, width: int) -> np.ndarray:
-    """All base-ary words of the given width, one per row, first digit most significant."""
-    idx = np.arange(base**width)
-    cols = [(idx // base ** (width - 1 - i)) % base for i in range(width)]
-    return np.stack(cols, axis=1).astype(np.int64)
+#: Law entries reduced per step of a level; bounds the readout's temporaries
+#: whatever the state count.
+_CHUNK = 1 << 18
+
+
+def _level_entropy_nats(block: np.ndarray, t: np.ndarray) -> float:
+    """Sum over rows of p(row) * H(digit | row) in nats, without cancellation.
+
+    ``block`` holds (prefix, digit, a) masses and ``t`` its sum over the
+    digit axis.  A running maximum sweeps the digits, and whichever of it and
+    the next mass is smaller leaves the running mode: it joins the remaining
+    mass r, a sum of nonnegative terms, and adds x * log(t / x).  The mode's
+    own term is -mode * log1p(-r / t), exact however close the row is to
+    deterministic.
+    """
+    mode = block[:, 0]
+    r = np.zeros_like(t)
+    nats = 0.0
+    for d in range(1, block.shape[1]):
+        x = np.minimum(mode, block[:, d])
+        mode = np.maximum(mode, block[:, d])
+        r += x
+        nats += float(np.sum(x * np.log(np.divide(t, x, out=np.ones_like(x), where=x > 0))))
+    frac = np.divide(r, t, out=np.zeros_like(r), where=t > 0)
+    return nats - float(np.sum(mode * np.log1p(-frac)))
 
 
 def polar_entropies(m: FqMatrix, joint: SymbolJoint, budget=None) -> EntropyProfile:
     """Exact entropy profile of the transform u -> uM under i.i.d. ``joint`` pairs.
 
-    Enumerates all (q*m)^k states with product weights; the default budget of
-    1e7 states can be overridden per call or via POLARLAB_BUDGET.  The chain
-    rule sum(h) = k * H(U|A) is verified internally to 1e-9 as a self-check.
+    Enumerates all (q*m)^k states once; the default budget of 1e7 states can
+    be overridden per call or via POLARLAB_BUDGET.  The product weights
+    W[u, a] are built by broadcasting, and since u -> uM is a bijection the
+    exact law P[v, a] is W with its rows gathered into v order.  Summing out
+    the last v digit of the prefix law P[v_<=j, a] gives P[v_<j, a], and
+    h[j] is read off the same block directly as the weighted conditional
+    entropy of v_j given (v_<j, a), with no difference of large entropies,
+    so tiny h[j] keep full relative precision.  Levels are reduced in chunks
+    of prefix rows, so at most the weights, one prefix law and bounded
+    temporaries are alive.  The chain rule sum(h) = k * H(U|A) is verified
+    internally to 1e-9 as a self-check.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
     if m.q != joint.q:
         raise ValueError("modulus mismatch between kernel and joint")
-    if not m.is_invertible():
-        raise ValueError("singular kernel")
+    try:
+        inverse = m.inverse().arr
+    except ValueError:
+        raise ValueError("singular kernel") from None
     k = m.rows
     q = m.q
     ma = joint.m
@@ -154,30 +184,30 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint, budget=None) -> EntropyProf
     if n_states > budget:
         raise ValueError(f"enumeration budget exceeded: {n_states} states > {budget}")
 
-    all_u = _digit_table(q, k)
-    v = all_u @ m.arr % q
-    all_a = _digit_table(ma, k)
-    n_u, n_a = q**k, ma**k
-    chunk = max(1, min(n_u, (1 << 22) // n_a + 1))
+    p = joint.p
+    law = p
+    for _ in range(k - 1):
+        law = (p[:, None, :, None] * law[None, :, None, :]).reshape(q * law.shape[0], -1)
+    n_a = law.shape[1]
+    # row v of P[v, a] is row u = v M^-1 of W[u, a]
+    order = (qary_words(q, k) @ inverse % q) @ q ** np.arange(k - 1, -1, -1)
+    rows = max(1, _CHUNK // (q * n_a))
 
-    cum_bits = np.empty(k + 1)
-    for j in range(k + 1):
-        vkey = np.zeros(n_u, dtype=np.int64)
-        for i in range(j):
-            vkey = vkey * q + v[:, i]
-        size = (q**j) * n_a
-        acc = np.zeros(size)
-        offsets = np.arange(n_a, dtype=np.int64)
-        for lo in range(0, n_u, chunk):
-            hi = min(lo + chunk, n_u)
-            w = np.ones((hi - lo, n_a))
-            for i in range(k):
-                w *= joint.p[all_u[lo:hi, i]][:, all_a[:, i]]
-            flat = (vkey[lo:hi, None] * n_a + offsets[None, :]).ravel()
-            acc += np.bincount(flat, weights=w.ravel(), minlength=size)
-        cum_bits[j] = _entropy_bits(acc)
+    h = np.empty(k)
+    for j in range(k - 1, -1, -1):
+        n_pre = q**j
+        prefix_law = np.empty((n_pre, n_a))
+        nats = 0.0
+        for lo in range(0, n_pre, rows):
+            hi = min(lo + rows, n_pre)
+            span = slice(lo * q, hi * q)
+            block = (law[span] if order is None else law[order[span]]).reshape(hi - lo, q, n_a)
+            t = prefix_law[lo:hi]
+            np.sum(block, axis=1, out=t)
+            nats += _level_entropy_nats(block, t)
+        h[j] = nats / math.log(q)
+        law, order = prefix_law, None
 
-    h = np.diff(cum_bits) / math.log2(q)
     expected = k * cond_entropy(joint)
     if abs(h.sum() - expected) > 1e-9:
         raise RuntimeError(
@@ -274,11 +304,6 @@ def polarization_exponents(
     ``family`` maps delta to a SymbolJoint and must be calibrated so that
     H(U|A) = delta to 1e-9 (the erasure family is).  The fit uses the
     ``fit_points`` smallest deltas, where constant contamination is weakest.
-
-    Profiles come from differences of state-space entropies, so values below
-    roughly 1e-12 are cancellation noise; keep delta^b above that floor (for
-    erasure sources the polarlab polynomials evaluate the same quantity with
-    no floor).
     """
     deltas = np.sort(np.asarray(deltas, dtype=np.float64))
     if deltas.size < 3:

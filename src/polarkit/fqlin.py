@@ -23,6 +23,7 @@ __all__ = [
     "is_prime",
     "kron",
     "kron_power",
+    "qary_words",
     "tensor_apply",
     "plu_decompose",
     "left_null_space",
@@ -275,6 +276,16 @@ def kron_power(m: FqMatrix, t: int) -> FqMatrix:
     for _ in range(t):
         out = kron(out, m)
     return out
+
+
+def qary_words(q: int, k: int) -> np.ndarray:
+    """All q**k words of length k over {0..q-1}, one per int64 row.
+
+    Row i spells i in base q with the first digit most significant, the
+    ordering ``kron`` uses for tuple indices.
+    """
+    idx = np.arange(q**k)
+    return np.stack([(idx // q ** (k - 1 - i)) % q for i in range(k)], axis=1)
 
 
 def tensor_apply(m: FqMatrix, t: int, u) -> np.ndarray:

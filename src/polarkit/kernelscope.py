@@ -29,6 +29,7 @@ from .fqlin import (
     kron_power,
     left_null_space,
     plu_decompose,
+    qary_words,
 )
 
 __all__ = [
@@ -281,8 +282,7 @@ def ml_failure_exact(p: FqMatrix, eps: float, budget=None) -> MlFailure:
     if q**k > budget:
         raise ValueError(f"source enumeration budget exceeded: {q**k} > {budget}")
 
-    idx = np.arange(q**k)
-    all_u = np.stack([(idx // q ** (k - 1 - i)) % q for i in range(k)], axis=1)
+    all_u = qary_words(q, k)
     weights = np.count_nonzero(all_u, axis=1)
     synd = all_u @ p.arr % q
     _, inv = np.unique(synd, axis=0, return_inverse=True)

@@ -23,7 +23,7 @@ def test_analyze_kernel_arikan(tmp_path, capsys):
     assert doc["result"]["mixing"] is True
     assert doc["result"]["exponents"] == [1, 2]
     assert doc["spec"]["subcommand"] == "analyze-kernel"
-    assert "mixing=True" in capsys.readouterr().out
+    assert "mixing=True" in capsys.readouterr().err
 
 
 def test_analyze_kernel_hamming7(tmp_path):
@@ -33,6 +33,13 @@ def test_analyze_kernel_hamming7(tmp_path):
     assert doc["result"]["mixing"] is True
     assert doc["result"]["distance"] == 3
     assert all(d >= 2 for d in doc["result"]["exponents"][3:])
+
+
+def test_hamming7_rejects_non_binary_q(capsys):
+    assert run_cli(["analyze-kernel", "--kernel", "hamming7", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the hamming7 kernel is binary; got --q 3" in captured.err
 
 
 def test_polarize_csv(tmp_path):
@@ -59,6 +66,15 @@ def test_exponents_json(tmp_path):
     assert abs(exps[0] - 1.0) < 0.05 and abs(exps[1] - 2.0) < 0.05
     assert doc["result"]["profiles"][0]["h"]
     assert doc["result"]["suction"]["eta"] == 0.5
+
+
+def test_exponents_stdout_is_parseable_json(capsys):
+    assert run_cli(["exponents", "--kernel", "arikan"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["spec"]["deltas"] == "1e-2,1e-3,1e-4"
+    assert len(doc["result"]["per_index_exponents"]) == 2
+    assert captured.err.startswith("exponents: eta=0.5")
 
 
 def test_construct_json(tmp_path):

@@ -1,13 +1,16 @@
 """Exact entropy engine: profiles, chain rule, predictors, exponent fits."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from polarkit import polarlab
 from polarkit.channels import make_qsc
 from polarkit.entropy import (
     SymbolJoint,
+    _entropy_bits,
     channel_joint,
     cond_entropy,
     consensus_predictor_error,
@@ -18,13 +21,42 @@ from polarkit.entropy import (
     polar_entropies,
     polarization_exponents,
 )
-from polarkit.fqlin import FqMatrix, kron
-from polarkit.kernelscope import random_mixing
+from polarkit.fqlin import FqMatrix, kron, qary_words
+from polarkit.kernelscope import is_mixing, random_mixing
 
 
 def random_joint(q, m, rng):
     p = rng.random((q, m))
     return SymbolJoint(q, p / p.sum())
+
+
+def polar_entropies_oracle(m, joint):
+    """Reference profile: k+1 passes over the states, each accumulating the
+    law of one transform prefix with the side information; h[j] is the
+    difference of consecutive prefix entropies (noisy below ~1e-12)."""
+    k, q, ma = m.rows, m.q, joint.m
+    all_u = qary_words(q, k)
+    v = all_u @ m.arr % q
+    all_a = qary_words(ma, k)
+    n_u, n_a = q**k, ma**k
+    chunk = max(1, min(n_u, (1 << 22) // n_a + 1))
+    cum_bits = np.empty(k + 1)
+    for j in range(k + 1):
+        vkey = np.zeros(n_u, dtype=np.int64)
+        for i in range(j):
+            vkey = vkey * q + v[:, i]
+        size = (q**j) * n_a
+        acc = np.zeros(size)
+        offsets = np.arange(n_a, dtype=np.int64)
+        for lo in range(0, n_u, chunk):
+            hi = min(lo + chunk, n_u)
+            w = np.ones((hi - lo, n_a))
+            for i in range(k):
+                w *= joint.p[all_u[lo:hi, i]][:, all_a[:, i]]
+            flat = (vkey[lo:hi, None] * n_a + offsets[None, :]).ravel()
+            acc += np.bincount(flat, weights=w.ravel(), minlength=size)
+        cum_bits[j] = _entropy_bits(acc)
+    return np.diff(cum_bits) / math.log2(q)
 
 
 def test_cond_entropy_trivial_cases():
@@ -63,6 +95,57 @@ def test_chain_rule_random_kernels_and_joints():
             joint = random_joint(q, int(rng.integers(2, 5)), rng)
             prof = polar_entropies(m, joint)
             assert abs(prof.total - k * cond_entropy(joint)) < 1e-9
+
+
+def test_profile_matches_difference_oracle():
+    rng = np.random.default_rng(44)
+    for q in (2, 3, 5):
+        for k in (2, 3, 4):
+            for _ in range(3):
+                m = random_mixing(q, k, rng)
+                joint = random_joint(q, int(rng.integers(1, 5)), rng)
+                got = polar_entropies(m, joint).h
+                assert np.max(np.abs(got - polar_entropies_oracle(m, joint))) <= 1e-12
+
+
+def _erasure_precision_kernels():
+    """The kernel families of acceptance criterion 3, plus arikan^3."""
+    kernels = []
+    for k in (2, 3):
+        for entries in itertools.product(range(2), repeat=k * k):
+            m = FqMatrix(2, np.array(entries).reshape(k, k))
+            if is_mixing(m):
+                kernels.append(m)
+    rng = np.random.default_rng(103)
+    for q, k, count in ((3, 2, 20), (3, 3, 20), (2, 4, 10), (3, 4, 10)):
+        kernels.extend(random_mixing(q, k, rng) for _ in range(count))
+    arikan = FqMatrix(2, [[1, 0], [1, 1]])
+    kernels.append(kron(arikan, kron(arikan, arikan)))
+    return kernels
+
+
+def test_erasure_profile_relative_precision():
+    # the exact values reach delta^8 ~ 1e-48; each must keep its relative precision
+    worst = 0.0
+    for m in _erasure_precision_kernels():
+        polys = polarlab.erasure_polynomials(m)
+        for d in (1e-2, 1e-4, 1e-6):
+            exact = polys.evaluate(d)
+            got = polar_entropies(m, erasure_joint(m.q, d)).h
+            worst = max(worst, float(np.max(np.abs(got / exact - 1.0))))
+    assert worst <= 1e-9
+
+
+def test_near_deterministic_rows_keep_relative_precision():
+    # q-ary symmetric pairs: H(U|A) = -(1-e) ln(1-e) - e ln(e/(q-1)), all of
+    # whose mass sits in rows with one symbol of probability 1 - e
+    for q in (2, 3):
+        for e in (1e-8, 1e-12, 1e-15):
+            p = np.full((q, q), e / (q - 1) / q)
+            np.fill_diagonal(p, (1.0 - e) / q)
+            exact = (-(1.0 - e) * math.log1p(-e) - e * math.log(e / (q - 1))) / math.log(q)
+            got = polar_entropies(FqMatrix.identity(q, 2), SymbolJoint(q, p)).h
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-9
 
 
 def test_monotone_under_dropped_side_info():
@@ -163,6 +246,13 @@ def test_exponents_squared_kernel_erasure_exact():
     assert rep.exponents[3] == pytest.approx(4.0, abs=0.05)
     # orders (1, 2, 2, 4): three of four indices at or above quadratic
     assert rep.fraction_at_least(1.8) == pytest.approx(0.75)
+
+
+def test_exponents_squared_kernel_default_grid():
+    # the CLI grid reaches h[3] = delta^4 = 1e-16 at delta = 1e-4
+    m = FqMatrix(2, [[1, 0], [1, 1]])
+    rep = polarization_exponents(kron(m, m), erasure_family(2), [1e-2, 1e-3, 1e-4])
+    assert rep.exponents[3] == pytest.approx(4.0, abs=0.01)
 
 
 def test_exponents_family_calibration_enforced():

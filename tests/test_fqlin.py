@@ -1,5 +1,7 @@
 """Exact linear algebra over F_q: examples, oracles, round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from polarkit.fqlin import (
     kron_power,
     left_null_space,
     plu_decompose,
+    qary_words,
     random_invertible,
     tensor_apply,
 )
@@ -115,6 +118,13 @@ def test_kron_rank_multiplicative():
 def test_kron_modulus_mismatch():
     with pytest.raises(ValueError, match="modulus"):
         kron(FqMatrix.identity(2, 2), FqMatrix.identity(3, 2))
+
+
+def test_qary_words_lexicographic():
+    for q, k in ((2, 1), (2, 4), (3, 3), (5, 2)):
+        words = qary_words(q, k)
+        assert words.dtype == np.int64
+        assert words.tolist() == [list(w) for w in itertools.product(range(q), repeat=k)]
 
 
 def test_tensor_apply_depth_zero_and_one():
