@@ -19,7 +19,6 @@ from .fqlin import _as_modulus
 
 __all__ = [
     "Channel",
-    "NoiseLaw",
     "SymmetryCertificate",
     "make_qsc",
     "make_erasure",
@@ -31,24 +30,6 @@ __all__ = [
 ]
 
 ROW_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class NoiseLaw:
-    """Additive noise law on F_q: mass 1-eps on 0, eps/(q-1) on each nonzero."""
-
-    q: int
-    eps: float
-
-    def __post_init__(self):
-        _as_modulus(self.q)
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("noise probability must lie in [0, 1]")
-
-    def probabilities(self) -> np.ndarray:
-        p = np.full(self.q, self.eps / (self.q - 1))
-        p[0] = 1.0 - self.eps
-        return p
 
 
 class Channel:
@@ -66,6 +47,8 @@ class Channel:
         w = np.array(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != self.q:
             raise ValueError("transition table must have one row per field element")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(w < 0):
             raise ValueError("transition probabilities must be nonnegative")
         if np.any(np.abs(w.sum(axis=1) - 1.0) > ROW_TOL):
@@ -105,10 +88,12 @@ def make_qsc(q, eps: float) -> Channel:
     w[y|x] = 1-eps on y = x and eps/(q-1) elsewhere.
     """
     q = _as_modulus(q)
-    noise = NoiseLaw(q, float(eps))  # validates eps
-    w = np.full((q, q), noise.eps / (q - 1))
-    np.fill_diagonal(w, 1.0 - noise.eps)
-    return Channel(q, w, kind="additive", param=float(eps))
+    eps = float(eps)
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("noise probability must lie in [0, 1]")
+    w = np.full((q, q), eps / (q - 1))
+    np.fill_diagonal(w, 1.0 - eps)
+    return Channel(q, w, kind="additive", param=eps)
 
 
 def make_erasure(q, z: float) -> Channel:

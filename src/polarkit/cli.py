@@ -185,6 +185,8 @@ def cmd_simulate(args) -> int:
 def cmd_distance(args) -> int:
     m = resolve_kernel(args.kernel, args.q) if args.kernel else FqMatrix.from_dict(json.loads(args.matrix))
     cols = args.cols if args.cols is not None else m.cols
+    if not 0 <= cols <= m.cols:
+        raise ValueError(f"--cols must lie in [0, {m.cols}], got {cols}")
     block = FqMatrix(m.q, m.arr[:, :cols])
     dist = kernelscope.left_kernel_distance(block)
     payload = {"distance": "inf" if dist == float("inf") else int(dist), "cols": cols}

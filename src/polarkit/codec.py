@@ -7,10 +7,14 @@ the receiver reasons about u directly.  In this layout the tensor power
 factors block-wise: splitting x into k consecutive blocks x^(s) of length
 k^(t-1) and writing v^(s) for their depth-(t-1) transforms, block a of u is
 u^(a) = sum_s M[s, a] v^(s).  Successive cancellation walks the u indices in
-lexicographic order; at each kernel node it enumerates all q^k child-symbol
-combinations against their posteriors (constant work per node for a fixed
-kernel), decides frozen positions by fiat and information positions by
-maximum posterior with ties toward the smallest field element.
+lexicographic order.  A kernel node weighs all q^k child-symbol words c by
+their posteriors (constant work per node for a fixed kernel) and indexes the
+weights by the kernel output v = cM.  Output a's decision law is then the sum
+over the trailing v digits; once output a is decided, only the slice of the
+weights with that digit is kept.  Frozen positions are decided by fiat and
+information positions by maximum posterior, ties going to the smallest field
+element: a symbol within 1e-12 of the top posterior is a tie, so that float
+summation order never breaks an exact one.
 
 The decoder is fully batched: all posteriors carry a leading word axis, so a
 Monte Carlo experiment decodes its whole trial block through one recursion.
@@ -40,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_CODE_BUDGET = 10**6
+# a decision takes the smallest symbol within this much of the top posterior:
+# the summation order alone must not break an exact tie
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,97 +116,66 @@ class FerResult:
 
 
 @lru_cache(maxsize=32)
-def _kernel_tables(q: int, k: int, arr_bytes: bytes):
-    """Per-kernel precomputation for the SC node: tuples, transforms, one-hots."""
-    m = np.frombuffer(arr_bytes, dtype=np.int64).reshape(k, k)
-    tuples = qary_words(q, k)
-    trans = tuples @ m % q
-    onehots = [
-        (trans[:, a][:, None] == np.arange(q)[None, :]).astype(np.float64)
-        for a in range(k)
-    ]
-    inv = FqMatrix(q, m).inverse().arr
-    return tuples, trans, onehots, inv
+def _v_table(kernel: FqMatrix):
+    """Per-kernel SC table: the child word behind every kernel output, and M^-1.
+
+    Entry v (in ``qary_words`` order) is the index of the child word c = v M^-1,
+    so gathering a node's combination weights through it lays them out by the
+    kernel output v = c M.
+    """
+    q, k = kernel.q, kernel.rows
+    inv = kernel.inverse()
+    order = (qary_words(q, k) @ inv.arr % q) @ q ** np.arange(k - 1, -1, -1)
+    order.flags.writeable = False
+    return order, inv
 
 
-class _ScEngine:
-    """Batched successive-cancellation recursion for one kernel."""
+def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf) -> None:
+    """Batched successive cancellation over (B, k^t, q) channel posteriors.
 
-    def __init__(self, kernel: FqMatrix):
-        self.q = kernel.q
-        self.k = kernel.rows
-        self.tuples, self.trans, self.onehots, self.kernel_inv = _kernel_tables(
-            kernel.q, kernel.rows, kernel.arr.tobytes()
-        )
+    ``leaf(i, p)`` is called once per u index, in increasing order, with the
+    (B, q) decision posteriors of index i; it returns the (B,) symbols the
+    rest of the recursion conditions on.  All per-run state lives in the leaf.
+    """
+    q, k = kernel.q, kernel.rows
+    b, n, _ = pi.shape
+    if n != k**t:
+        raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
+    order, inv = _v_table(kernel)
 
-    def run(self, pi, t, frozen_mask=None, frozen_values=None, genie=None, keep_posteriors=False):
-        """Decode a batch. pi has shape (B, k^t, q) of per-position posteriors.
-
-        Returns (u_hat, errors, leaf_posteriors); errors is None outside genie
-        mode, in which decisions are forced to the true symbols after the
-        per-index decision errors are recorded.
-        """
-        b, n, _ = pi.shape
-        if n != self.k**t:
-            raise ValueError(f"posterior block length {n} does not match k^t = {self.k**t}")
-        self._frozen_mask = frozen_mask
-        self._frozen_values = frozen_values
-        self._genie = genie
-        self._u_hat = np.zeros((b, n), dtype=np.int64)
-        self._errors = None if genie is None else np.zeros((b, n), dtype=bool)
-        self._posteriors = np.zeros((b, n, self.q)) if keep_posteriors else None
-        self._rec(pi, t, 0)
-        return self._u_hat, self._errors, self._posteriors
-
-    def _rec(self, pi, level, base):
+    def node(pi, level, base):
         # depth is tracked explicitly: with a 1x1 kernel every node has a
         # single position yet still applies the kernel map once per level
-        b, n, q = pi.shape
         if level == 0:
-            return self._leaf(pi, base)
-        k = self.k
-        sub = n // k
+            return leaf(base, pi[:, 0])[:, None]
+        sub = pi.shape[1] // k
         children = pi.reshape(b, k, sub, q)
         # weight of every q^k child-symbol combination, per position
-        w = np.ones((b, sub, q**k))
-        for s in range(k):
-            w *= children[:, s][:, :, self.tuples[:, s]]
-        decided = np.zeros((b, sub, 0), dtype=np.int64)
+        w = children[:, 0]
+        for s in range(1, k):
+            w = (w[..., None] * children[:, s, :, None, :]).reshape(b, sub, -1)
+        # gathered into kernel-output order: digit a of the last axis is v_a
+        w = w[..., order]
+        rows = np.arange(b * sub)
+        decided = np.empty((b, sub, k), dtype=np.int64)
         for a in range(k):
-            if a == 0:
-                wm = w
-            else:
-                mask = (self.trans[None, None, :, :a] == decided[:, :, None, :]).all(-1)
-                wm = w * mask
-            virt = wm @ self.onehots[a]
-            total = virt.sum(axis=-1, keepdims=True)
-            dead = total[..., 0] <= 0.0
-            if dead.any():
-                # contradictory earlier decisions; fall back to uniform
-                virt[dead] = 1.0
-                total = virt.sum(axis=-1, keepdims=True)
-            virt = virt / total
-            d_hat = self._rec(virt, level - 1, base + a * sub)
-            decided = np.concatenate([decided, d_hat[:, :, None]], axis=2)
+            law = w.reshape(b, sub, q, -1).sum(axis=-1)
+            total = law.sum(axis=-1, keepdims=True)
+            if not total.all():
+                # contradictory earlier decisions (weights are nonnegative, so
+                # only a zero total); fall back to uniform
+                law[total[..., 0] == 0.0] = 1.0
+                total = law.sum(axis=-1, keepdims=True)
+            d = node(law / total, level - 1, base + a * sub)
+            decided[:, :, a] = d
+            if a + 1 < k:
+                # keep the weights whose digit a is the decided symbol
+                w = w.reshape(b * sub, q, -1)[rows, d.ravel()]
         # child codeword symbols from the decided kernel outputs
-        ctup = decided @ self.kernel_inv % self.q
-        return np.swapaxes(ctup, 1, 2).reshape(b, n)
+        ctup = decided @ inv.arr % q
+        return np.swapaxes(ctup, 1, 2).reshape(b, k * sub)
 
-    def _leaf(self, pi, index):
-        if self._posteriors is not None:
-            self._posteriors[:, index, :] = pi[:, 0, :]
-        if self._genie is not None:
-            dec = np.argmax(pi[:, 0, :], axis=1)
-            truth = self._genie[:, index]
-            self._errors[:, index] = dec != truth
-            self._u_hat[:, index] = truth
-            return truth[:, None].copy()
-        if self._frozen_mask is not None and self._frozen_mask[index]:
-            dec = np.full(pi.shape[0], self._frozen_values[index], dtype=np.int64)
-        else:
-            dec = np.argmax(pi[:, 0, :], axis=1)
-        self._u_hat[:, index] = dec
-        return dec[:, None]
+    node(pi, t, 0)
 
 
 def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
@@ -236,6 +212,8 @@ def construct_code(
     cert = validate_symmetric(channel)
     if not cert.ok:
         raise ValueError(f"code construction requires a symmetric channel: {cert.reason}")
+    if t < 0:
+        raise ValueError("tensor depth must be nonnegative")
     n = kernel.rows**t
     budget = enumeration_budget(DEFAULT_CODE_BUDGET) if budget is None else budget
     if n > budget:
@@ -285,22 +263,23 @@ def encode(code: PolarCode, message) -> np.ndarray:
     u = np.zeros(message.shape[:-1] + (n,), dtype=np.int64)
     u[..., code.frozen] = code.frozen_values
     u[..., info] = message
-    inv = FqMatrix(code.q, _kernel_tables(code.q, code.kernel.rows, code.kernel.arr.tobytes())[3])
-    return tensor_apply(inv, code.t, u)
+    return tensor_apply(_v_table(code.kernel)[1], code.t, u)
 
 
 def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel, keep_posteriors=False):
-    engine = _ScEngine(code.kernel)
-    n = code.block_length
-    frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[code.frozen] = True
-    frozen_values = np.zeros(n, dtype=np.int64)
-    frozen_values[code.frozen] = code.frozen_values
     pi = _channel_posteriors(channel, y)
-    u_hat, _, posteriors = engine.run(
-        pi, code.t, frozen_mask=frozen_mask, frozen_values=frozen_values,
-        keep_posteriors=keep_posteriors,
-    )
+    frozen = dict(zip(code.frozen.tolist(), code.frozen_values.tolist()))
+    u_hat = np.empty(y.shape, dtype=np.int64)
+    posteriors = np.zeros(pi.shape) if keep_posteriors else None
+    tie = _TIE * np.arange(code.q)
+
+    def leaf(i, p):
+        if posteriors is not None:
+            posteriors[:, i] = p
+        u_hat[:, i] = frozen[i] if i in frozen else np.argmax(p - tie, axis=1)
+        return u_hat[:, i]
+
+    _sc(code.kernel, pi, code.t, leaf)
     return u_hat, posteriors
 
 
@@ -350,20 +329,24 @@ def genie_error_rates(
     with the truth and then replaced by it, so every index is profiled under
     error-free conditioning.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     n = kernel.rows**t
-    engine = _ScEngine(kernel)
-    inv = FqMatrix(kernel.q, engine.kernel_inv)
     # draw all randomness up front so the estimate is batch-size independent
     u = rng.integers(0, kernel.q, size=(trials, n))
-    x = tensor_apply(inv, t, u)
+    x = tensor_apply(_v_table(kernel)[1], t, u)
     y = sample_outputs(channel, x, rng)
-    err_total = np.zeros(n)
+    errors = np.zeros(n, dtype=np.int64)
+    tie = _TIE * np.arange(kernel.q)
     for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        pi = _channel_posteriors(channel, y[lo:hi])
-        _, errors, _ = engine.run(pi, t, genie=u[lo:hi])
-        err_total += errors.sum(axis=0)
-    return err_total / trials
+        truth = u[lo:lo + batch]
+
+        def leaf(i, p):
+            errors[i] += np.count_nonzero(np.argmax(p - tie, axis=1) != truth[:, i])
+            return truth[:, i]
+
+        _sc(kernel, _channel_posteriors(channel, y[lo:lo + batch]), t, leaf)
+    return errors / trials
 
 
 def _wilson(failures: int, trials: int, z: float = 1.959963984540054):

@@ -49,6 +49,8 @@ class SymbolJoint:
         p = np.array(p, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != self.q:
             raise ValueError("joint table must have one row per field element")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("joint probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("joint probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-12:

@@ -437,6 +437,8 @@ class KernelReport:
 
 def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> KernelReport:
     """Assemble the standard report: mixing, H-witness, block distance, exponents."""
+    if block_cols is not None and not 0 <= block_cols <= m.cols:
+        raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")
     mixing = is_mixing(m)
     witness = find_useful_containment_H(m) if mixing else None
     distance = None

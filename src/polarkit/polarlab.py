@@ -200,6 +200,8 @@ def evolve_tree(m, z0: float, t: int, budget=None, return_all: bool = False):
     """
     polys = _coerce_polys(m)
     k = polys.k
+    if t < 0:
+        raise ValueError("tensor depth must be nonnegative")
     budget = enumeration_budget(DEFAULT_TREE_BUDGET) if budget is None else budget
     if k**t > budget:
         raise ValueError(f"tree budget exceeded: k^t = {k**t} > {budget}")

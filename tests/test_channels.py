@@ -137,3 +137,10 @@ def test_sampling_reproducible_for_fixed_seed():
 def test_row_sum_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         make_table_channel(2, [[0.9, 0.0], [0.0, 1.0]], require_symmetric=False)
+
+
+def test_non_finite_table_rejected():
+    # NaN passes both the sign and the row-sum comparisons
+    for w in ([[np.nan, np.nan], [np.nan, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            make_table_channel(2, w, require_symmetric=False)

@@ -143,6 +143,24 @@ def test_validation_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    # a NaN table passes the sign and row-sum checks unless finiteness is checked
+    ["simulate", "--channel", '{"kind": "table", "q": 2, "w": [[NaN, NaN], [NaN, NaN]]}',
+     "--t", "2", "--rate", "0.5", "--trials", "10", "--seed", "1"],
+    ["construct", "--channel", "qsc:0.1", "--t", "2", "--rate", "0.5", "--seed", "1",
+     "--genie-trials", "0"],
+    ["construct", "--channel", "erasure:0.3", "--t", "-1", "--rate", "0.5", "--seed", "1"],
+    ["polarize", "--z", "0.5", "--t", "-2"],
+    ["analyze-kernel", "--block-cols", "5"],
+    ["distance", "--cols", "9"],
+    ["distance", "--cols", "-1"],
+], ids=["nan-table", "genie-trials-0", "construct-t-neg", "polarize-t-neg",
+        "block-cols-too-wide", "cols-too-wide", "cols-negative"])
+def test_out_of_range_arguments_exit_2(args, capsys):
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_kernel_resolution_variants(tmp_path):
     inline = json.dumps(FqMatrix(3, [[1, 0], [2, 1]]).to_dict())
     m = resolve_kernel(inline, 3)

@@ -4,9 +4,14 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
-from polarkit.channels import make_erasure, make_qsc
+from polarkit.channels import make_erasure, make_qsc, sample_outputs
+from polarkit.cli import resolve_kernel
 from polarkit.codec import (
+    PolarCode,
+    _channel_posteriors,
+    _sc,
     construct_code,
     encode,
     fer_experiment,
@@ -15,7 +20,7 @@ from polarkit.codec import (
     _decode_batch,
 )
 from polarkit.entropy import SymbolJoint, map_predictor
-from polarkit.fqlin import FqMatrix, kron_power, row_echelon, tensor_apply
+from polarkit.fqlin import FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import evolve_tree
 
@@ -24,6 +29,125 @@ ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
 def all_messages(q, n):
     return np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+
+
+# Reference SC recursion: a (b, sub, q^k, a) mask of the decided prefix per
+# node step, contracted against per-kernel one-hot tables, with per-run state
+# on the engine.  The library's v-indexed recursion must make the same
+# decisions.
+
+
+def _kernel_tables(q: int, k: int, arr_bytes: bytes):
+    """Per-kernel precomputation for the SC node: tuples, transforms, one-hots."""
+    m = np.frombuffer(arr_bytes, dtype=np.int64).reshape(k, k)
+    tuples = qary_words(q, k)
+    trans = tuples @ m % q
+    onehots = [
+        (trans[:, a][:, None] == np.arange(q)[None, :]).astype(np.float64)
+        for a in range(k)
+    ]
+    inv = FqMatrix(q, m).inverse().arr
+    return tuples, trans, onehots, inv
+
+
+class _ScEngine:
+    """Batched successive-cancellation recursion for one kernel."""
+
+    def __init__(self, kernel: FqMatrix):
+        self.q = kernel.q
+        self.k = kernel.rows
+        self.tuples, self.trans, self.onehots, self.kernel_inv = _kernel_tables(
+            kernel.q, kernel.rows, kernel.arr.tobytes()
+        )
+
+    def run(self, pi, t, frozen_mask=None, frozen_values=None, genie=None, keep_posteriors=False):
+        """Decode a batch. pi has shape (B, k^t, q) of per-position posteriors.
+
+        Returns (u_hat, errors, leaf_posteriors); errors is None outside genie
+        mode, in which decisions are forced to the true symbols after the
+        per-index decision errors are recorded.
+        """
+        b, n, _ = pi.shape
+        if n != self.k**t:
+            raise ValueError(f"posterior block length {n} does not match k^t = {self.k**t}")
+        self._frozen_mask = frozen_mask
+        self._frozen_values = frozen_values
+        self._genie = genie
+        self._u_hat = np.zeros((b, n), dtype=np.int64)
+        self._errors = None if genie is None else np.zeros((b, n), dtype=bool)
+        self._posteriors = np.zeros((b, n, self.q)) if keep_posteriors else None
+        self._rec(pi, t, 0)
+        return self._u_hat, self._errors, self._posteriors
+
+    def _rec(self, pi, level, base):
+        # depth is tracked explicitly: with a 1x1 kernel every node has a
+        # single position yet still applies the kernel map once per level
+        b, n, q = pi.shape
+        if level == 0:
+            return self._leaf(pi, base)
+        k = self.k
+        sub = n // k
+        children = pi.reshape(b, k, sub, q)
+        # weight of every q^k child-symbol combination, per position
+        w = np.ones((b, sub, q**k))
+        for s in range(k):
+            w *= children[:, s][:, :, self.tuples[:, s]]
+        decided = np.zeros((b, sub, 0), dtype=np.int64)
+        for a in range(k):
+            if a == 0:
+                wm = w
+            else:
+                mask = (self.trans[None, None, :, :a] == decided[:, :, None, :]).all(-1)
+                wm = w * mask
+            virt = wm @ self.onehots[a]
+            total = virt.sum(axis=-1, keepdims=True)
+            dead = total[..., 0] <= 0.0
+            if dead.any():
+                # contradictory earlier decisions; fall back to uniform
+                virt[dead] = 1.0
+                total = virt.sum(axis=-1, keepdims=True)
+            virt = virt / total
+            d_hat = self._rec(virt, level - 1, base + a * sub)
+            decided = np.concatenate([decided, d_hat[:, :, None]], axis=2)
+        # child codeword symbols from the decided kernel outputs
+        ctup = decided @ self.kernel_inv % self.q
+        return np.swapaxes(ctup, 1, 2).reshape(b, n)
+
+    def _decide(self, pi):
+        # smallest symbol within 1e-12 of the top posterior
+        return np.argmax(pi[:, 0, :] - 1e-12 * np.arange(self.q), axis=1)
+
+    def _leaf(self, pi, index):
+        if self._posteriors is not None:
+            self._posteriors[:, index, :] = pi[:, 0, :]
+        if self._genie is not None:
+            dec = self._decide(pi)
+            truth = self._genie[:, index]
+            self._errors[:, index] = dec != truth
+            self._u_hat[:, index] = truth
+            return truth[:, None].copy()
+        if self._frozen_mask is not None and self._frozen_mask[index]:
+            dec = np.full(pi.shape[0], self._frozen_values[index], dtype=np.int64)
+        else:
+            dec = self._decide(pi)
+        self._u_hat[:, index] = dec
+        return dec[:, None]
+
+
+def oracle_genie_error_rates(kernel, channel, t, trials, rng, batch=1024):
+    n = kernel.rows**t
+    engine = _ScEngine(kernel)
+    inv = FqMatrix(kernel.q, engine.kernel_inv)
+    u = rng.integers(0, kernel.q, size=(trials, n))
+    x = tensor_apply(inv, t, u)
+    y = sample_outputs(channel, x, rng)
+    err_total = np.zeros(n)
+    for lo in range(0, trials, batch):
+        hi = min(lo + batch, trials)
+        pi = _channel_posteriors(channel, y[lo:hi])
+        _, errors, _ = engine.run(pi, t, genie=u[lo:hi])
+        err_total += errors.sum(axis=0)
+    return err_total / trials
 
 
 def test_construct_erasure_info_set():
@@ -272,3 +396,79 @@ def test_keep_posteriors_one_hot_on_noiseless():
     res = sc_decode(code, x, keep_posteriors=True)
     assert res.posteriors.shape == (4, 2)
     assert np.allclose(res.posteriors[np.arange(4), msg], 1.0)
+
+
+def _reference_kernel(name):
+    rng = np.random.default_rng(2024)
+    f3 = random_mixing(3, 3, rng)
+    f5 = random_mixing(5, 3, rng)
+    kernels = {
+        "arikan": (ARIKAN, 5),
+        "arikan2": (kron(ARIKAN, ARIKAN), 3),
+        "hamming7": (resolve_kernel("hamming7", 2), 2),
+        "f3": (f3, 3),
+        "f5": (f5, 2),
+    }
+    return kernels[name]
+
+
+@pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+def test_sc_matches_reference_recursion(name, kind):
+    kernel, t = _reference_kernel(name)
+    q, n = kernel.q, kernel.rows**t
+    ch = {"noiseless": make_erasure(q, 0.0), "erasure": make_erasure(q, 0.3), "qsc": make_qsc(q, 0.08)}[kind]
+    rng = np.random.default_rng(31)
+    frozen = np.sort(rng.choice(n, size=n // 2, replace=False))
+    code = PolarCode(kernel, t, ch, frozen, rng.integers(0, q, len(frozen)), np.zeros(n))
+    frozen_mask = np.zeros(n, dtype=bool)
+    frozen_mask[frozen] = True
+    frozen_values = np.zeros(n, dtype=np.int64)
+    frozen_values[frozen] = code.frozen_values
+    # half the words carry the code's frozen values; the other half contradict
+    # them, which drives nodes into the dead-node fallback
+    u = rng.integers(0, q, size=(64, n))
+    u[:32, frozen] = code.frozen_values
+    y = sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng)
+    pi = _channel_posteriors(ch, y)
+
+    u_hat, post = _decode_batch(code, y, ch, keep_posteriors=True)
+    ref_u, _, ref_post = _ScEngine(kernel).run(
+        pi, t, frozen_mask=frozen_mask, frozen_values=frozen_values, keep_posteriors=True
+    )
+    assert np.array_equal(u_hat, ref_u)
+    assert np.max(np.abs(post - ref_post)) <= 1e-12
+
+    # genie mode: decisions recorded, the truth fed back
+    _, ref_err, ref_post = _ScEngine(kernel).run(pi, t, genie=u, keep_posteriors=True)
+    err = np.zeros_like(ref_err)
+    post = np.zeros_like(ref_post)
+
+    def leaf(i, p):
+        post[:, i] = p
+        err[:, i] = np.argmax(p - 1e-12 * np.arange(q), axis=1) != u[:, i]
+        return u[:, i]
+
+    _sc(kernel, pi, t, leaf)
+    assert np.array_equal(err, ref_err)
+    assert np.max(np.abs(post - ref_post)) <= 1e-12
+
+    rates = genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
+    ref_rates = oracle_genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
+    assert np.array_equal(rates, ref_rates)
+
+
+def test_near_ties_go_to_the_smaller_symbol():
+    # on qsc words many posteriors tie exactly in real arithmetic; in floats
+    # the top two differ by a few ulps, which must not decide the symbol
+    kernel = kron(ARIKAN, ARIKAN)
+    ch = make_qsc(2, 0.08)
+    rng = np.random.default_rng(41)
+    code = construct_code(kernel, ch, 3, rate=0.5, rng=rng, genie_trials=2000)
+    msgs = rng.integers(0, 2, size=(400, len(code.info)))
+    y = sample_outputs(ch, encode(code, msgs), rng)
+    u_hat, post = _decode_batch(code, y, ch, keep_posteriors=True)
+    p = post[:, code.info]
+    near = np.abs(p[..., 0] - p[..., 1]) <= 1e-12
+    assert near.sum() > 0
+    assert np.all(u_hat[:, code.info][near] == 0)

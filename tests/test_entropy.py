@@ -296,3 +296,8 @@ def test_channel_joint_matches_capacity():
     from polarkit.channels import capacity
 
     assert cond_entropy(joint) == pytest.approx(1.0 - capacity(c), abs=1e-12)
+
+
+def test_symbol_joint_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        SymbolJoint(2, [[np.nan, 0.5], [0.25, 0.25]])
