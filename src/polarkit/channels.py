@@ -25,7 +25,6 @@ __all__ = [
     "make_table_channel",
     "validate_symmetric",
     "capacity",
-    "sample_output",
     "sample_outputs",
 ]
 
@@ -198,8 +197,3 @@ def sample_outputs(c: Channel, x, rng: np.random.Generator) -> np.ndarray:
     r = rng.random(size=x.shape)
     y = np.sum(r[..., None] >= cdf[x], axis=-1)
     return np.minimum(y, c.outputs - 1)
-
-
-def sample_output(c: Channel, x: int, rng: np.random.Generator) -> int:
-    """Draw one channel output for input symbol ``x``."""
-    return int(sample_outputs(c, np.asarray([x]), rng)[0])

@@ -114,6 +114,8 @@ def cmd_analyze_kernel(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    if args.t_min < 0:
+        raise ValueError(f"--t-min must be nonnegative; got {args.t_min}")
     m = resolve_kernel(args.kernel, args.q)
     levels = polarlab.evolve_tree(m, args.z, args.t, return_all=True)
     start = min(args.t_min, args.t)

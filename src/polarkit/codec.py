@@ -18,13 +18,29 @@ summation order never breaks an exact one.
 
 The decoder is fully batched: all posteriors carry a leading word axis, so a
 Monte Carlo experiment decodes its whole trial block through one recursion.
+
+Decoding skips two kinds of subtree whose output is known exactly (genie
+profiling and ``keep_posteriors`` keep the full recursion).  An all-frozen
+subtree returns its own codeword, the depth-l transform of its frozen values,
+cached per code.  An all-information subtree returns the hard decisions
+argmax pi of its inputs when eta, the sum over its input positions of
+1 - max_x pi(x), is below 1/4 for every word of the batch.  Proof sketch, for
+any kernel over any F_q: at a node the hard-decision child word c* has weight
+prod_s pi_s(c*_s) >= 1 - sum_s eta_s, and conditioning on decisions that agree
+with v* = c*M only renormalises, so every child input is at least that sure of
+its v* digit and its own eta is at most the node's.  By induction every leaf's
+top posterior exceeds 3/4, far outside the tie window, SC decides v* at every
+node, no node is dead, and the subtree's codeword is c*.  On erasure channels
+the certificate reads "no erased input".  The decisions u are recovered from
+the root codeword as x M^{tensor t}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +82,13 @@ class PolarCode:
     estimates: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # ``info`` and the SC plan are cached from these, so they must not change
+        for name in ("frozen", "frozen_values"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def q(self) -> int:
         return self.kernel.q
@@ -74,9 +97,16 @@ class PolarCode:
     def block_length(self) -> int:
         return self.kernel.rows**self.t
 
-    @property
+    @cached_property
     def info(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.block_length), self.frozen)
+        info = np.setdiff1d(np.arange(self.block_length), self.frozen)
+        info.flags.writeable = False
+        return info
+
+    @cached_property
+    def _sc_plan(self) -> _ScPlan:
+        """Built on first decode, not at construction."""
+        return _ScPlan.build(self)
 
     @property
     def rate(self) -> float:
@@ -115,6 +145,50 @@ class FerResult:
     ci_high: float
 
 
+class _ScPlan(NamedTuple):
+    """Per-code SC data, reused by every decode of the code.
+
+    ``frozen_values`` spans all N indices (zero at information ones).
+    ``rate0`` maps each maximal all-frozen subtree (level, base) to its local
+    codeword; ``rate1`` holds the maximal all-information subtrees above the
+    leaves.
+    """
+
+    frozen_mask: np.ndarray
+    frozen_values: np.ndarray
+    rate0: dict
+    rate1: frozenset
+
+    @classmethod
+    def build(cls, code: PolarCode) -> _ScPlan:
+        k, n = code.kernel.rows, code.block_length
+        mask = np.zeros(n, dtype=bool)
+        mask[code.frozen] = True
+        values = np.zeros(n, dtype=np.int64)
+        values[code.frozen] = code.frozen_values
+        inv = _v_table(code.kernel)[1]
+        rate0, rate1 = {}, set()
+
+        def visit(level, base):
+            span = slice(base, base + k**level)
+            if mask[span].all():
+                # the subtree's own transform, not a slice of the global one
+                codeword = tensor_apply(inv, level, values[span])
+                codeword.flags.writeable = False
+                rate0[level, base] = codeword
+            elif not mask[span].any():
+                if level > 0:
+                    rate1.add((level, base))
+            else:
+                for a in range(k):
+                    visit(level - 1, base + a * k ** (level - 1))
+
+        visit(code.t, 0)
+        mask.flags.writeable = False
+        values.flags.writeable = False
+        return cls(mask, values, rate0, frozenset(rate1))
+
+
 @lru_cache(maxsize=32)
 def _v_table(kernel: FqMatrix):
     """Per-kernel SC table: the child word behind every kernel output, and M^-1.
@@ -130,24 +204,36 @@ def _v_table(kernel: FqMatrix):
     return order, inv
 
 
-def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf) -> None:
+def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = None) -> np.ndarray:
     """Batched successive cancellation over (B, k^t, q) channel posteriors.
 
     ``leaf(i, p)`` is called once per u index, in increasing order, with the
     (B, q) decision posteriors of index i; it returns the (B,) symbols the
     rest of the recursion conditions on.  All per-run state lives in the leaf.
+    Returns the (B, k^t) codeword x of the decisions, x M^{tensor t} = u.
+
+    With a ``plan``, subtrees whose output is known without recursing are
+    answered directly (see the module docstring), and the leaf is not called
+    for their indices.
     """
     q, k = kernel.q, kernel.rows
     b, n, _ = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
     order, inv = _v_table(kernel)
+    rate0, rate1 = (plan.rate0, plan.rate1) if plan is not None else ({}, frozenset())
 
     def node(pi, level, base):
+        frozen = rate0.get((level, base))
+        if frozen is not None:
+            return frozen[None].repeat(b, axis=0)
         # depth is tracked explicitly: with a 1x1 kernel every node has a
         # single position yet still applies the kernel map once per level
         if level == 0:
             return leaf(base, pi[:, 0])[:, None]
+        # eta < 1/4 on every word certifies that SC decides argmax pi here
+        if (level, base) in rate1 and np.all((1.0 - pi.max(axis=-1)).sum(axis=1) < 0.25):
+            return pi.argmax(axis=-1)
         sub = pi.shape[1] // k
         children = pi.reshape(b, k, sub, q)
         # weight of every q^k child-symbol combination, per position
@@ -175,7 +261,7 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf) -> None:
         ctup = decided @ inv.arr % q
         return np.swapaxes(ctup, 1, 2).reshape(b, k * sub)
 
-    node(pi, t, 0)
+    return node(pi, t, 0)
 
 
 def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
@@ -268,19 +354,20 @@ def encode(code: PolarCode, message) -> np.ndarray:
 
 def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel, keep_posteriors=False):
     pi = _channel_posteriors(channel, y)
-    frozen = dict(zip(code.frozen.tolist(), code.frozen_values.tolist()))
-    u_hat = np.empty(y.shape, dtype=np.int64)
+    plan = code._sc_plan
     posteriors = np.zeros(pi.shape) if keep_posteriors else None
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
         if posteriors is not None:
             posteriors[:, i] = p
-        u_hat[:, i] = frozen[i] if i in frozen else np.argmax(p - tie, axis=1)
-        return u_hat[:, i]
+        if plan.frozen_mask[i]:
+            return np.full(len(p), plan.frozen_values[i])
+        return np.argmax(p - tie, axis=1)
 
-    _sc(code.kernel, pi, code.t, leaf)
-    return u_hat, posteriors
+    # posteriors are kept for every index, so they need the full recursion
+    x_hat = _sc(code.kernel, pi, code.t, leaf, None if keep_posteriors else plan)
+    return tensor_apply(code.kernel, code.t, x_hat), posteriors
 
 
 def sc_decode(code: PolarCode, y, channel: Channel | None = None,

@@ -28,7 +28,6 @@ __all__ = [
     "plu_decompose",
     "left_null_space",
     "row_echelon",
-    "random_invertible",
     "enumeration_budget",
 ]
 
@@ -293,23 +292,30 @@ def tensor_apply(m: FqMatrix, t: int, u) -> np.ndarray:
 
     Works level by level in O(k^t * k * t) field operations and is bit-exact
     equal to multiplying by the dense Kronecker power.  ``u`` may carry
-    leading batch axes; the last axis must have length k**t.
+    leading batch axes; the last axis must have length k**t.  Levels are
+    applied to integers and reduced mod q only when the next level could
+    overflow int64, so small fields reduce once, at the end.
     """
     if m.rows != m.cols:
         raise ValueError("tensor_apply requires a square kernel")
-    k = m.rows
-    u = np.asarray(u, dtype=np.int64) % m.q
+    k, q = m.rows, m.q
+    u = np.asarray(u, dtype=np.int64) % q
     n = k**t
     if u.shape[-1] != n:
         raise ValueError(f"length mismatch: expected {n}, got {u.shape[-1]}")
-    if t == 0:
-        return u.copy()
-    batch = u.shape[:-1]
-    v = u.reshape(batch + (k,) * t)
-    nb = len(batch)
+    mt = m.arr.T
+    # one level multiplies the largest entry by at most the largest column sum
+    grow = int(m.arr.sum(axis=0).max())
+    v = u.reshape(-1, n)
+    bound = q - 1
     for axis in range(t):
-        v = np.moveaxis(np.tensordot(v, m.arr, axes=([nb + axis], [0])), -1, nb + axis) % m.q
-    return v.reshape(batch + (n,))
+        if bound * grow >= 2**62:
+            v %= q
+            bound = q - 1
+        # axis `axis` of the (k,) * t index is the middle one of these three
+        v = np.matmul(mt, v.reshape(-1, k, k ** (t - axis - 1)))
+        bound *= grow
+    return (v % q).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -355,12 +361,3 @@ def plu_decompose(m: FqMatrix) -> PluDecomposition:
             a[below] = (a[below] - np.outer(mult, a[col])) % q
     perm.flags.writeable = False
     return PluDecomposition(perm, FqMatrix(q, low), FqMatrix(q, a))
-
-
-def random_invertible(q, k: int, rng: np.random.Generator) -> FqMatrix:
-    """Rejection-sample an invertible k x k matrix over F_q."""
-    q = _as_modulus(q)
-    while True:
-        cand = FqMatrix(q, rng.integers(0, q, size=(k, k)))
-        if cand.is_invertible():
-            return cand

@@ -10,7 +10,6 @@ from polarkit.channels import (
     make_erasure,
     make_qsc,
     make_table_channel,
-    sample_output,
     sample_outputs,
     validate_symmetric,
 )
@@ -108,6 +107,11 @@ def test_capacity_rejects_non_symmetric():
     z = make_table_channel(2, [[1.0, 0.0], [0.3, 0.7]], require_symmetric=False)
     with pytest.raises(ValueError, match="symmetric"):
         capacity(z)
+
+
+def sample_output(c, x, rng):
+    """Draw one channel output for input symbol ``x``."""
+    return int(sample_outputs(c, np.asarray([x]), rng)[0])
 
 
 def test_sampling_deterministic_cases():

@@ -151,10 +151,14 @@ def test_validation_error_exit_2(capsys):
      "--genie-trials", "0"],
     ["construct", "--channel", "erasure:0.3", "--t", "-1", "--rate", "0.5", "--seed", "1"],
     ["polarize", "--z", "0.5", "--t", "-2"],
+    # a negative start would index the level list from its end
+    ["polarize", "--z", "0.5", "--t", "3", "--t-min", "-1"],
+    ["polarize", "--z", "0.5", "--t", "3", "--t-min", "-4"],
     ["analyze-kernel", "--block-cols", "5"],
     ["distance", "--cols", "9"],
     ["distance", "--cols", "-1"],
 ], ids=["nan-table", "genie-trials-0", "construct-t-neg", "polarize-t-neg",
+        "polarize-t-min-neg1", "polarize-t-min-neg4",
         "block-cols-too-wide", "cols-too-wide", "cols-negative"])
 def test_out_of_range_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2

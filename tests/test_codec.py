@@ -173,6 +173,16 @@ def test_construct_frozen_count_from_rate():
     assert worst_frozen >= best_info - 1e-15
 
 
+def test_code_arrays_are_read_only():
+    # info and the SC plan are derived once; the arrays behind them are fixed
+    frozen, values = np.array([0, 1]), np.array([1, 0])
+    code = PolarCode(ARIKAN, 2, make_erasure(2, 0.3), frozen, values, np.zeros(4))
+    frozen[0] = 2  # a change to the caller's array does not reach the code
+    assert code.frozen.tolist() == [0, 1] and code.info.tolist() == [2, 3]
+    with pytest.raises(ValueError):
+        code.frozen_values[0] = 0
+
+
 def test_construct_threshold_variant():
     code = construct_code(
         ARIKAN, make_erasure(2, 0.3), 6, threshold=0.5, frozen_zero=True
@@ -472,3 +482,101 @@ def test_near_ties_go_to_the_smaller_symbol():
     near = np.abs(p[..., 0] - p[..., 1]) <= 1e-12
     assert near.sum() > 0
     assert np.all(u_hat[:, code.info][near] == 0)
+
+
+# The decode path prunes all-frozen and certified all-information subtrees;
+# its decisions must equal the full reference recursion bit for bit.
+
+
+def _pruning_case(name, frozen_kind, rng):
+    kernel, t = _reference_kernel(name)
+    q, n = kernel.q, kernel.rows**t
+    if frozen_kind == "tree":
+        frozen = construct_code(kernel, make_erasure(q, 0.3), t, rate=0.5, frozen_zero=True).frozen
+    elif frozen_kind == "random":
+        frozen = np.sort(rng.choice(n, size=n // 2, replace=False))
+    elif frozen_kind == "all":
+        frozen = np.arange(n)
+    else:
+        frozen = np.arange(0)
+    # nonzero frozen values: a subtree's codeword is its own transform of
+    # them, which a slice of the whole block's transform is not
+    values = rng.integers(1, q, size=len(frozen))
+    return kernel, t, frozen, values
+
+
+@pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
+@pytest.mark.parametrize("frozen_kind", ["tree", "random", "all", "none"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
+    rng = np.random.default_rng(43)
+    kernel, t, frozen, values = _pruning_case(name, frozen_kind, rng)
+    q, n = kernel.q, kernel.rows**t
+    ch = {"noiseless": make_erasure(q, 0.0), "erasure": make_erasure(q, 0.3), "qsc": make_qsc(q, 0.2)}[kind]
+    code = PolarCode(kernel, t, ch, frozen, values, np.zeros(n))
+    frozen_mask = np.zeros(n, dtype=bool)
+    frozen_mask[frozen] = True
+    frozen_values = np.zeros(n, dtype=np.int64)
+    frozen_values[frozen] = values
+    # half the words carry the frozen values, half contradict them
+    u = rng.integers(0, q, size=(64, n))
+    u[:32, frozen] = values
+    y = sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng)
+
+    u_hat, post = _decode_batch(code, y, ch)
+    assert post is None
+    ref_u, _, _ = _ScEngine(kernel).run(
+        _channel_posteriors(ch, y), t, frozen_mask=frozen_mask, frozen_values=frozen_values
+    )
+    assert np.array_equal(u_hat, ref_u)
+    # the certificate holds for the whole batch or not at all; one word at a
+    # time it is decided per word, with the same decisions
+    singles = np.concatenate([_decode_batch(code, y[i:i + 1], ch)[0] for i in range(len(y))])
+    assert np.array_equal(singles, u_hat)
+
+
+def _leaf_calls(code, y, ch):
+    """Decode an all-frozen or all-information code through its plan.
+
+    Returns the codeword and the indices the leaf was called for.
+    """
+    calls = []
+    tie = 1e-12 * np.arange(code.q)
+
+    def leaf(i, p):
+        calls.append(i)
+        return np.argmax(p - tie, axis=1)
+
+    x_hat = _sc(code.kernel, _channel_posteriors(ch, y), code.t, leaf, code._sc_plan)
+    return x_hat, calls
+
+
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+def test_pruning_shortcuts_fire(name):
+    rng = np.random.default_rng(47)
+    kernel, t = _reference_kernel(name)
+    q, n = kernel.q, kernel.rows**t
+    inv = kernel.inverse()
+    noiseless, erasure = make_erasure(q, 0.0), make_erasure(q, 0.3)
+    u = rng.integers(0, q, size=(8, n))
+    x = tensor_apply(inv, t, u)
+
+    # all frozen: the root returns the cached codeword, no leaf runs
+    values = rng.integers(1, q, size=n)
+    code = PolarCode(kernel, t, noiseless, np.arange(n), values, np.zeros(n))
+    x_hat, calls = _leaf_calls(code, x, noiseless)
+    assert calls == []
+    assert np.array_equal(x_hat, np.broadcast_to(tensor_apply(inv, t, values), x.shape))
+
+    # all information on noiseless words: the certificate holds at the root
+    code = PolarCode(kernel, t, noiseless, np.arange(0), np.arange(0), np.zeros(n))
+    x_hat, calls = _leaf_calls(code, x, noiseless)
+    assert calls == []
+    assert np.array_equal(x_hat, x)
+
+    # an erased input fails the certificate: SC decides the erased word's
+    # indices, which hard decisions could not
+    y = x.copy()
+    y[:, 0] = erasure.erasure_symbol
+    _, calls = _leaf_calls(code, y, erasure)
+    assert 0 in calls

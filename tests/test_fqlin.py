@@ -14,9 +14,10 @@ from polarkit.fqlin import (
     left_null_space,
     plu_decompose,
     qary_words,
-    random_invertible,
     tensor_apply,
 )
+
+from helpers import random_invertible
 
 
 def test_field_modulus_rejects_composites():
@@ -161,6 +162,16 @@ def test_tensor_apply_batched():
     out = tensor_apply(m, 3, batch)
     for i in range(6):
         assert np.array_equal(out[i], tensor_apply(m, 3, batch[i]))
+
+
+def test_tensor_apply_large_field_reduces_before_overflow():
+    # over F_65537 three unreduced levels of a 3x3 kernel exceed int64
+    q, t = 65537, 4
+    rng = np.random.default_rng(9)
+    m = random_invertible(q, 3, rng)
+    dense = kron_power(m, t).arr
+    u = rng.integers(0, q, size=(2, 3, 3**t))
+    assert np.array_equal(tensor_apply(m, t, u), u @ dense % q)
 
 
 def test_tensor_apply_length_mismatch():

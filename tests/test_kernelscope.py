@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polarkit.fqlin import FqMatrix, kron, random_invertible
+from polarkit.fqlin import FqMatrix, kron
 from polarkit.kernelscope import (
     build_high_distance_kernel,
     extract_high_distance_columns,
@@ -21,6 +21,8 @@ from polarkit.kernelscope import (
     kernel_report,
 )
 from polarkit.polarlab import leading_exponents
+
+from helpers import random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 

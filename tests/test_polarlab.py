@@ -7,7 +7,7 @@ import pytest
 
 from polarkit.cli import resolve_kernel
 from polarkit.entropy import erasure_joint, polar_entropies
-from polarkit.fqlin import FqMatrix, kron, kron_power, random_invertible, row_echelon
+from polarkit.fqlin import FqMatrix, kron, kron_power, row_echelon
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import (
     erasure_polynomials,
@@ -17,6 +17,8 @@ from polarkit.polarlab import (
     polarization_report,
     sample_paths,
 )
+
+from helpers import random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
