@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Walk through the structural analysis of a polar-code kernel.
 
-Shows the mixing test (both implementations), the PLU factorization it rests
-on, and the constructive containment chain: every mixing kernel usefully
-contains the 2x2 lower-triangular matrix H, and the witness survives tensor
-squaring.  These witnesses are what turns "every mixing kernel polarizes
-exponentially" into something a program can check instance by instance.
+Shows the mixing test, the PLU factorization it rests on, and the
+constructive containment chain: every mixing kernel usefully contains the 2x2
+lower-triangular matrix H, and the witness survives tensor squaring.  These
+witnesses are what turns "every mixing kernel polarizes exponentially" into
+something a program can check instance by instance.
 """
 
 import numpy as np
@@ -29,10 +29,9 @@ def show(title, arr):
 def analyze(m, name):
     print(f"\n=== {name} (q={m.q}) ===")
     show("kernel", m.arr)
-    brute = is_mixing(m, "brute")
-    plu = is_mixing(m, "plu")
-    print(f"mixing: brute-force={brute}, PLU-based={plu}")
-    if not brute:
+    mixing = is_mixing(m)
+    print(f"mixing: {mixing}")
+    if not mixing:
         print("not mixing; no containment to extract")
         return
     dec = plu_decompose(m)

@@ -16,8 +16,11 @@ information positions by maximum posterior, ties going to the smallest field
 element: a symbol within 1e-12 of the top posterior is a tie, so that float
 summation order never breaks an exact one.
 
-The decoder is fully batched: all posteriors carry a leading word axis, so a
-Monte Carlo experiment decodes its whole trial block through one recursion.
+The decoder is fully batched, so a Monte Carlo experiment decodes its whole
+trial block through one recursion.  Posteriors are symbol-major, shape
+(q, positions, words): a node's child s is one contiguous (q, sub * B) block,
+each of the q^k weight rows and every sum over them runs over sub * B
+contiguous values, and the leaf reads its (B, q) posteriors as a view.
 
 Decoding skips two kinds of subtree whose output is known exactly (genie
 profiling and ``keep_posteriors`` keep the full recursion).  An all-frozen
@@ -165,8 +168,8 @@ class _ScPlan(NamedTuple):
         mask = np.zeros(n, dtype=bool)
         mask[code.frozen] = True
         values = np.zeros(n, dtype=np.int64)
-        values[code.frozen] = code.frozen_values
-        inv = _v_table(code.kernel)[1]
+        values[code.frozen] = code.frozen_values % code.q  # as encode reads them
+        inv = _v_table(code.kernel)[2]
         rate0, rate1 = {}, set()
 
         def visit(level, base):
@@ -191,84 +194,89 @@ class _ScPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _v_table(kernel: FqMatrix):
-    """Per-kernel SC table: the child word behind every kernel output, and M^-1.
+    """Per-kernel SC tables: the child word behind every kernel output, and M^-1.
 
-    Entry v (in ``qary_words`` order) is the index of the child word c = v M^-1,
-    so gathering a node's combination weights through it lays them out by the
-    kernel output v = c M.
+    For each kernel output v (in ``qary_words`` order) with child word
+    c = v M^-1, ``order[v]`` splits the index of c into (index of
+    c_0..c_{k-2}, c_{k-1}), so a node builds its combination weights straight
+    in v order; column v of the (k, q^k) ``words`` is c itself.
     """
     q, k = kernel.q, kernel.rows
     inv = kernel.inverse()
-    order = (qary_words(q, k) @ inv.arr % q) @ q ** np.arange(k - 1, -1, -1)
-    order.flags.writeable = False
-    return order, inv
+    words = qary_words(q, k) @ inv.arr % q
+    order = tuple(divmod(int(c), q) for c in words @ q ** np.arange(k - 1, -1, -1))
+    words = np.ascontiguousarray(words.T)
+    words.flags.writeable = False
+    return order, words, inv
 
 
 def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = None) -> np.ndarray:
-    """Batched successive cancellation over (B, k^t, q) channel posteriors.
+    """Batched successive cancellation over symbol-major (q, k^t, B) posteriors.
 
     ``leaf(i, p)`` is called once per u index, in increasing order, with the
     (B, q) decision posteriors of index i; it returns the (B,) symbols the
     rest of the recursion conditions on.  All per-run state lives in the leaf.
-    Returns the (B, k^t) codeword x of the decisions, x M^{tensor t} = u.
+    Returns the (k^t, B) codeword x of the decisions, x M^{tensor t} = u.
 
     With a ``plan``, subtrees whose output is known without recursing are
     answered directly (see the module docstring), and the leaf is not called
     for their indices.
     """
     q, k = kernel.q, kernel.rows
-    b, n, _ = pi.shape
+    _, n, b = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
-    order, inv = _v_table(kernel)
+    order, words, _ = _v_table(kernel)
     rate0, rate1 = (plan.rate0, plan.rate1) if plan is not None else ({}, frozenset())
 
     def node(pi, level, base):
         frozen = rate0.get((level, base))
         if frozen is not None:
-            return frozen[None].repeat(b, axis=0)
+            return frozen[:, None].repeat(b, axis=1)
         # depth is tracked explicitly: with a 1x1 kernel every node has a
         # single position yet still applies the kernel map once per level
         if level == 0:
-            return leaf(base, pi[:, 0])[:, None]
+            return leaf(base, pi[:, 0].T)[None]
         # eta < 1/4 on every word certifies that SC decides argmax pi here
-        if (level, base) in rate1 and np.all((1.0 - pi.max(axis=-1)).sum(axis=1) < 0.25):
-            return pi.argmax(axis=-1)
+        if (level, base) in rate1 and np.all((1.0 - pi.max(axis=0)).sum(axis=0) < 0.25):
+            return pi.argmax(axis=0)
         sub = pi.shape[1] // k
-        children = pi.reshape(b, k, sub, q)
-        # weight of every q^k child-symbol combination, per position
-        w = children[:, 0]
-        for s in range(1, k):
-            w = (w[..., None] * children[:, s, :, None, :]).reshape(b, sub, -1)
-        # gathered into kernel-output order: digit a of the last axis is v_a
-        w = w[..., order]
-        rows = np.arange(b * sub)
-        decided = np.empty((b, sub, k), dtype=np.int64)
+        m = sub * b
+        children = pi.reshape(q, k, m)
+        # weight of every q^k child-symbol combination; the last child's factor
+        # puts each row in kernel-output order (digit a of row v is v_a)
+        head = children[:, 0] if k > 1 else np.ones((1, m))
+        for s in range(1, k - 1):
+            head = (head[:, None] * children[None, :, s]).reshape(-1, m)
+        w = np.empty((q**k, m))
+        for row, (c, last) in enumerate(order):
+            np.multiply(head[c], children[last, k - 1], out=w[row])
+        cols = np.arange(m)
+        v = 0  # index of the decided kernel outputs so far
         for a in range(k):
-            law = w.reshape(b, sub, q, -1).sum(axis=-1)
-            total = law.sum(axis=-1, keepdims=True)
+            law = w.reshape(q, -1, m).sum(axis=1)
+            total = law.sum(axis=0)
             if not total.all():
                 # contradictory earlier decisions (weights are nonnegative, so
                 # only a zero total); fall back to uniform
-                law[total[..., 0] == 0.0] = 1.0
-                total = law.sum(axis=-1, keepdims=True)
-            d = node(law / total, level - 1, base + a * sub)
-            decided[:, :, a] = d
+                law[:, total == 0.0] = 1.0
+                total = law.sum(axis=0)
+            d = node((law / total).reshape(q, sub, b), level - 1, base + a * sub).ravel()
+            v = v * q + d
             if a + 1 < k:
                 # keep the weights whose digit a is the decided symbol
-                w = w.reshape(b * sub, q, -1)[rows, d.ravel()]
-        # child codeword symbols from the decided kernel outputs
-        ctup = decided @ inv.arr % q
-        return np.swapaxes(ctup, 1, 2).reshape(b, k * sub)
+                rest = len(w) // q
+                w = w.reshape(q, rest, m)[d, np.arange(rest)[:, None], cols]
+        # child codeword symbols of the decided kernel outputs
+        return np.take(words, v, axis=1).reshape(k * sub, b)
 
     return node(pi, t, 0)
 
 
 def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
-    """Per-position posteriors P(x | y) under a uniform input prior."""
-    wt = channel.w.T  # (m, q)
-    pi = wt[y]
-    total = pi.sum(axis=-1, keepdims=True)
+    """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior."""
+    pi = channel.w[:, y.T]
+    total = pi.sum(axis=0)
     if np.any(total <= 0):
         raise ValueError("received symbol with zero likelihood under every input")
     return pi / total
@@ -349,13 +357,13 @@ def encode(code: PolarCode, message) -> np.ndarray:
     u = np.zeros(message.shape[:-1] + (n,), dtype=np.int64)
     u[..., code.frozen] = code.frozen_values
     u[..., info] = message
-    return tensor_apply(_v_table(code.kernel)[1], code.t, u)
+    return tensor_apply(_v_table(code.kernel)[2], code.t, u)
 
 
 def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel, keep_posteriors=False):
     pi = _channel_posteriors(channel, y)
     plan = code._sc_plan
-    posteriors = np.zeros(pi.shape) if keep_posteriors else None
+    posteriors = np.zeros(pi.shape[::-1]) if keep_posteriors else None
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
@@ -367,7 +375,7 @@ def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel, keep_posteri
 
     # posteriors are kept for every index, so they need the full recursion
     x_hat = _sc(code.kernel, pi, code.t, leaf, None if keep_posteriors else plan)
-    return tensor_apply(code.kernel, code.t, x_hat), posteriors
+    return tensor_apply(code.kernel, code.t, x_hat.T), posteriors
 
 
 def sc_decode(code: PolarCode, y, channel: Channel | None = None,
@@ -418,11 +426,12 @@ def genie_error_rates(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     n = kernel.rows**t
     # draw all randomness up front so the estimate is batch-size independent
     u = rng.integers(0, kernel.q, size=(trials, n))
-    x = tensor_apply(_v_table(kernel)[1], t, u)
-    y = sample_outputs(channel, x, rng)
+    y = sample_outputs(channel, tensor_apply(_v_table(kernel)[2], t, u), rng)
     errors = np.zeros(n, dtype=np.int64)
     tie = _TIE * np.arange(kernel.q)
     for lo in range(0, trials, batch):
@@ -476,6 +485,8 @@ def fer_experiment(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("need at least one worker")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     streams = rng.spawn(workers)
     per = [trials // workers + (1 if i < trials % workers else 0) for i in range(workers)]
     info = code.info
@@ -484,8 +495,7 @@ def fer_experiment(
         if tw == 0:
             continue
         messages = wrng.integers(0, code.q, size=(tw, len(info)))
-        x = encode(code, messages)
-        y = sample_outputs(channel, x, wrng)
+        y = sample_outputs(channel, encode(code, messages), wrng)
         for lo in range(0, tw, batch):
             hi = min(lo + batch, tw)
             u_hat, _ = _decode_batch(code, y[lo:hi], channel)

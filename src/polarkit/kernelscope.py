@@ -53,39 +53,24 @@ __all__ = [
 
 DEFAULT_KERNEL_BUDGET = 10**7
 DEFAULT_ML_BUDGET = 10**6
-BRUTE_FORCE_LIMIT = 8
 
 
-def is_mixing(m: FqMatrix, method: str = "plu") -> bool:
+def is_mixing(m: FqMatrix) -> bool:
     """Mixing test: invertible and no row permutation is upper-triangular.
 
-    ``method="brute"`` loops over all k! row permutations (k <= 8) and is the
-    defining check.  ``method="plu"`` tests whether the unit lower-triangular
-    factor of the first-nonzero-pivot PLU is non-diagonal; with that pivot
-    rule the two agree (a non-mixing matrix has exactly one candidate pivot
-    row per column, so no multiplier is ever produced), and the test suite
-    cross-validates them exhaustively.
+    Tests whether the unit lower-triangular factor of the first-nonzero-pivot
+    PLU is non-diagonal.  With that pivot rule this is the definition: a
+    non-mixing matrix has exactly one candidate pivot row per column, so no
+    multiplier is ever produced.  The test suite cross-validates it against
+    the defining loop over all k! row permutations.
     """
     if m.rows != m.cols:
         raise ValueError("mixing is defined for square matrices")
-    if method == "brute":
-        if m.rows > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"brute-force mixing check supports k <= {BRUTE_FORCE_LIMIT}")
-        if not m.is_invertible():
-            return False
-        a = m.arr
-        for perm in itertools.permutations(range(m.rows)):
-            if all(not a[perm[i], :i].any() for i in range(m.rows)):
-                return False
-        return True
-    if method == "plu":
-        try:
-            dec = plu_decompose(m)
-        except ValueError:
-            return False
-        low = dec.lower.arr
-        return bool(np.any(np.tril(low, -1)))
-    raise ValueError(f"unknown method {method!r}")
+    try:
+        dec = plu_decompose(m)
+    except ValueError:
+        return False
+    return bool(np.any(np.tril(dec.lower.arr, -1)))
 
 
 @dataclass(frozen=True)
@@ -589,4 +574,4 @@ def extract_high_distance_columns(
     dist = block_distance(best_cols)
     order = list(best_cols) + [c for c in range(n) if c not in set(best_cols)]
     padded = FqMatrix(q, mt.arr[:, order])
-    return ColumnSearch(tuple(best_cols), dist, is_mixing(padded, method="plu"), exhaustive)
+    return ColumnSearch(tuple(best_cols), dist, is_mixing(padded), exhaustive)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -205,6 +206,9 @@ def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polarkit.cli", "--version"],
         capture_output=True, text=True,
+        # the child finds polarkit where this process does, however pytest
+        # was started
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "polarkit" in proc.stdout

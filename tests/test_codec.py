@@ -134,6 +134,11 @@ class _ScEngine:
         return dec[:, None]
 
 
+def word_major(pi):
+    """The library's symbol-major (q, N, B) posteriors as the (B, N, q) the engine takes."""
+    return pi.transpose(2, 1, 0)
+
+
 def oracle_genie_error_rates(kernel, channel, t, trials, rng, batch=1024):
     n = kernel.rows**t
     engine = _ScEngine(kernel)
@@ -144,7 +149,7 @@ def oracle_genie_error_rates(kernel, channel, t, trials, rng, batch=1024):
     err_total = np.zeros(n)
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
-        pi = _channel_posteriors(channel, y[lo:hi])
+        pi = word_major(_channel_posteriors(channel, y[lo:hi]))
         _, errors, _ = engine.run(pi, t, genie=u[lo:hi])
         err_total += errors.sum(axis=0)
     return err_total / trials
@@ -181,6 +186,20 @@ def test_code_arrays_are_read_only():
     assert code.frozen.tolist() == [0, 1] and code.info.tolist() == [2, 3]
     with pytest.raises(ValueError):
         code.frozen_values[0] = 0
+
+
+def test_frozen_values_act_mod_q():
+    # encode reads u mod q, so the decoder must read frozen values that way
+    kernel, t = _reference_kernel("f3")
+    n, ch = kernel.rows**t, make_erasure(3, 0.0)
+    frozen = np.arange(0, n, 2)
+    wide = PolarCode(kernel, t, ch, frozen, np.arange(len(frozen)) + 3, np.zeros(n))
+    narrow = PolarCode(kernel, t, ch, frozen, wide.frozen_values % 3, np.zeros(n))
+    msgs = np.random.default_rng(5).integers(0, 3, size=(16, len(wide.info)))
+    x = encode(wide, msgs)
+    assert np.array_equal(x, encode(narrow, msgs))
+    for keep in (False, True):  # the leaf sees frozen values only without pruning
+        assert np.array_equal(_decode_batch(wide, x, ch, keep)[0], _decode_batch(narrow, x, ch, keep)[0])
 
 
 def test_construct_threshold_variant():
@@ -350,6 +369,17 @@ def test_fer_reproducible_and_worker_streams():
     assert c.trials == 600  # different stream split, same contract
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_nonpositive_batch_rejected(batch):
+    # range(0, trials, batch) would run no decode at all and report zeros
+    ch = make_erasure(2, 0.5)
+    code = construct_code(ARIKAN, ch, 4, rate=0.9, frozen_zero=True)
+    with pytest.raises(ValueError, match="batch"):
+        fer_experiment(code, ch, 100, np.random.default_rng(0), batch=batch)
+    with pytest.raises(ValueError, match="batch"):
+        genie_error_rates(ARIKAN, ch, 4, 100, np.random.default_rng(0), batch=batch)
+
+
 def test_wilson_interval_sane():
     ch = make_erasure(2, 0.3)
     code = construct_code(ARIKAN, ch, 6, rate=0.5, rng=np.random.default_rng(71))
@@ -412,18 +442,23 @@ def _reference_kernel(name):
     rng = np.random.default_rng(2024)
     f3 = random_mixing(3, 3, rng)
     f5 = random_mixing(5, 3, rng)
+    # a step-0 law summing 8 terms (4x4 over F_2), and a large field (q = 11)
+    f2x4 = random_mixing(2, 4, rng)
+    f11 = random_mixing(11, 2, rng)
     kernels = {
         "arikan": (ARIKAN, 5),
         "arikan2": (kron(ARIKAN, ARIKAN), 3),
         "hamming7": (resolve_kernel("hamming7", 2), 2),
         "f3": (f3, 3),
         "f5": (f5, 2),
+        "f2x4": (f2x4, 3),
+        "f11": (f11, 3),
     }
     return kernels[name]
 
 
 @pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
-@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
 def test_sc_matches_reference_recursion(name, kind):
     kernel, t = _reference_kernel(name)
     q, n = kernel.q, kernel.rows**t
@@ -444,13 +479,13 @@ def test_sc_matches_reference_recursion(name, kind):
 
     u_hat, post = _decode_batch(code, y, ch, keep_posteriors=True)
     ref_u, _, ref_post = _ScEngine(kernel).run(
-        pi, t, frozen_mask=frozen_mask, frozen_values=frozen_values, keep_posteriors=True
+        word_major(pi), t, frozen_mask=frozen_mask, frozen_values=frozen_values, keep_posteriors=True
     )
     assert np.array_equal(u_hat, ref_u)
     assert np.max(np.abs(post - ref_post)) <= 1e-12
 
     # genie mode: decisions recorded, the truth fed back
-    _, ref_err, ref_post = _ScEngine(kernel).run(pi, t, genie=u, keep_posteriors=True)
+    _, ref_err, ref_post = _ScEngine(kernel).run(word_major(pi), t, genie=u, keep_posteriors=True)
     err = np.zeros_like(ref_err)
     post = np.zeros_like(ref_post)
 
@@ -466,6 +501,19 @@ def test_sc_matches_reference_recursion(name, kind):
     rates = genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
     ref_rates = oracle_genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
     assert np.array_equal(rates, ref_rates)
+
+
+@pytest.mark.parametrize("name", ["hamming7", "f3", "f2x4", "f11"])
+def test_genie_rates_do_not_depend_on_batch(name):
+    # the batch size sets the row length of every node's sums (down to one
+    # value at batch 1), never a decision
+    kernel, t = _reference_kernel(name)
+    ch = make_qsc(kernel.q, 0.08)
+    rates = [
+        genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53), **kw)
+        for kw in ({"batch": 1}, {"batch": 7}, {})
+    ]
+    assert np.array_equal(rates[0], rates[1]) and np.array_equal(rates[0], rates[2])
 
 
 def test_near_ties_go_to_the_smaller_symbol():
@@ -507,7 +555,7 @@ def _pruning_case(name, frozen_kind, rng):
 
 @pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
 @pytest.mark.parametrize("frozen_kind", ["tree", "random", "all", "none"])
-@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
 def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
     rng = np.random.default_rng(43)
     kernel, t, frozen, values = _pruning_case(name, frozen_kind, rng)
@@ -526,7 +574,7 @@ def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
     u_hat, post = _decode_batch(code, y, ch)
     assert post is None
     ref_u, _, _ = _ScEngine(kernel).run(
-        _channel_posteriors(ch, y), t, frozen_mask=frozen_mask, frozen_values=frozen_values
+        word_major(_channel_posteriors(ch, y)), t, frozen_mask=frozen_mask, frozen_values=frozen_values
     )
     assert np.array_equal(u_hat, ref_u)
     # the certificate holds for the whole batch or not at all; one word at a
@@ -548,10 +596,10 @@ def _leaf_calls(code, y, ch):
         return np.argmax(p - tie, axis=1)
 
     x_hat = _sc(code.kernel, _channel_posteriors(ch, y), code.t, leaf, code._sc_plan)
-    return x_hat, calls
+    return x_hat.T, calls
 
 
-@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
 def test_pruning_shortcuts_fire(name):
     rng = np.random.default_rng(47)
     kernel, t = _reference_kernel(name)

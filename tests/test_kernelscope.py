@@ -22,7 +22,7 @@ from polarkit.kernelscope import (
 )
 from polarkit.polarlab import leading_exponents
 
-from helpers import random_invertible
+from helpers import is_mixing_brute, random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
@@ -33,23 +33,23 @@ def all_matrices(q, k):
 
 
 def test_is_mixing_examples():
-    assert is_mixing(ARIKAN, "brute") and is_mixing(ARIKAN, "plu")
-    assert not is_mixing(FqMatrix.identity(2, 3), "brute")
-    assert not is_mixing(FqMatrix(2, [[0, 1], [1, 0]]), "brute")
-    assert not is_mixing(FqMatrix(2, [[1, 1], [1, 1]]), "plu")  # singular
+    assert is_mixing_brute(ARIKAN) and is_mixing(ARIKAN)
+    assert not is_mixing_brute(FqMatrix.identity(2, 3))
+    assert not is_mixing_brute(FqMatrix(2, [[0, 1], [1, 0]]))
+    assert not is_mixing(FqMatrix(2, [[1, 1], [1, 1]]))  # singular
 
 
 def test_mixing_methods_agree_exhaustively_2x2_3x3():
     for k in (2, 3):
         for m in all_matrices(2, k):
-            assert is_mixing(m, "brute") == is_mixing(m, "plu")
+            assert is_mixing_brute(m) == is_mixing(m)
 
 
 def test_mixing_methods_agree_random_4x4_f3():
     rng = np.random.default_rng(19)
     for _ in range(200):
         m = FqMatrix(3, rng.integers(0, 3, size=(4, 4)))
-        assert is_mixing(m, "brute") == is_mixing(m, "plu")
+        assert is_mixing_brute(m) == is_mixing(m)
 
 
 def test_containment_on_the_2x2_kernel_itself():
@@ -148,7 +148,7 @@ def test_build_high_distance_kernel_hamming7():
     built = build_high_distance_kernel(2, 7, 1)
     assert built.block_cols == 3
     assert built.distance == 3
-    assert is_mixing(built.matrix, "brute")
+    assert is_mixing_brute(built.matrix)
     lead = leading_exponents(built.matrix)
     assert np.all(lead.d[3:] >= 2)
 
@@ -157,7 +157,7 @@ def test_build_high_distance_kernel_b0():
     built = build_high_distance_kernel(2, 4, 0)
     assert built.block_cols == 0
     assert built.distance == math.inf
-    assert is_mixing(built.matrix, "brute")
+    assert is_mixing_brute(built.matrix)
 
 
 def test_build_high_distance_kernel_random_fields():
@@ -165,13 +165,13 @@ def test_build_high_distance_kernel_random_fields():
     for q in (3, 5):
         built = build_high_distance_kernel(q, 6, 1, rng=rng)
         assert built.distance > 2
-        assert is_mixing(built.matrix, "brute")
+        assert is_mixing_brute(built.matrix)
 
 
 def test_build_high_distance_kernel_bch_b2():
     built = build_high_distance_kernel(2, 15, 2)
     assert built.distance > 4
-    assert is_mixing(built.matrix, "plu")
+    assert is_mixing(built.matrix)
     lead = leading_exponents(built.matrix)
     assert np.all(lead.d[built.block_cols:] >= 3)
 
