@@ -314,6 +314,9 @@ def construct_code(
         raise ValueError(f"block length budget exceeded: {n} > {budget}")
     if (rate is None) == (threshold is None):
         raise ValueError("give exactly one of rate or threshold")
+    if threshold is not None and not math.isfinite(threshold):
+        # estimates > nan is all False: a NaN threshold would freeze nothing
+        raise ValueError(f"threshold must be finite; got {threshold}")
 
     if channel.kind == "erasure":
         estimates = evolve_tree(kernel, channel.param, t, budget=budget).values.copy()

@@ -283,6 +283,9 @@ class ExponentReport:
     def suction_pair(self, b_min: float = 1.5):
         """(eta, b) summary: fraction of indices at or above ``b_min`` and
         the smallest exponent among them (None when the fraction is zero)."""
+        if not math.isfinite(b_min):
+            # exponents >= nan is all False, which would read as no suction
+            raise ValueError(f"b_min must be finite; got {b_min}")
         good = self.exponents[self.exponents >= b_min]
         if good.size == 0:
             return 0.0, None

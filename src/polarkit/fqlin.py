@@ -10,6 +10,8 @@ two entries are out of scope.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,10 +31,15 @@ __all__ = [
     "left_null_space",
     "row_echelon",
     "enumeration_budget",
+    "BudgetExceeded",
+    "min_weight_search",
 ]
 
 #: Environment variable that overrides all enumeration budgets in the package.
 BUDGET_ENV = "POLARLAB_BUDGET"
+
+#: Default cap on the candidates one min_weight_search may enumerate.
+DEFAULT_SEARCH_BUDGET = 10**7
 
 
 def enumeration_budget(default: int) -> int:
@@ -256,6 +263,213 @@ def left_null_space(m: FqMatrix) -> FqMatrix:
     return FqMatrix(q, basis)
 
 
+class BudgetExceeded(ValueError):
+    """An enumeration was refused before it started: it would exceed its budget."""
+
+
+def min_weight_search(a: FqMatrix, classes=None, budget=None):
+    """Least Hamming weight of nonzero y in each lead class of yA, exactly.
+
+    The lead class of y is the index of the first nonzero entry of yA, or
+    n = a.cols when yA = 0.  For each requested class (all n + 1 by default)
+    returns the least weight of a y in it and the number of distinct supports
+    of that weight, as two int64 arrays aligned with ``classes``; both are 0
+    for an empty class.  For an invertible kernel, class j holds exactly the
+    y supported on an erasure pattern that leaves output j undetermined, so
+    class j gives its partial distance d[j] and leading constant; class n is
+    the left kernel, so its weight is the minimum distance of that code.
+
+    One row echelon form of [A | I] splits F_q^k by class: row i is (y_i A,
+    y_i) with y_i A leading at class c_i (nondecreasing in i), so a y whose
+    coordinates over the y_i start at row i is in class c_i.  It also bounds
+    each class's least weight by the weight of its rows and by i + 1 for its
+    first row i: the columns before the class have rank i, so some i + 1
+    rows of A already hold a y in it.  Each class is then filled by the
+    cheaper of two exact enumerations:
+
+    - every y of weight 1, 2, ..., w, first nonzero entry 1, layer by layer;
+      one pass serves every class whose bound is at most w and stops after
+      the first layer in which all of them have appeared;
+    - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each.
+
+    w minimises the candidate count of the whole plan, and that count is
+    checked against the budget before anything is enumerated
+    (BudgetExceeded beyond it).  Both enumerations add two
+    precomputed sets of vectors pairwise, _SEARCH_CHUNK candidates or so per
+    numpy step, so memory stays bounded whatever the count.
+    """
+    q, k, n = a.q, a.rows, a.cols
+    classes = np.arange(n + 1) if classes is None else np.asarray(list(classes), dtype=np.int64)
+    if classes.size and not 0 <= classes.min() <= classes.max() <= n:
+        raise ValueError(f"lead classes must lie in [0, {n}]")
+    budget = enumeration_budget(DEFAULT_SEARCH_BUDGET) if budget is None else budget
+    ech, pivots = row_echelon(np.hstack([a.arr, np.eye(k, dtype=np.int64)]), q, max_pivot_col=n)
+    basis = ech[:, n:]
+    row_class = np.array(pivots + [n] * (k - len(pivots)), dtype=np.int64)
+    wanted = set(classes.tolist()) & set(row_class.tolist())  # the nonempty ones
+    bound, coset_cost = {}, {}
+    for i, (c, weight) in enumerate(zip(row_class.tolist(), np.count_nonzero(basis, axis=1).tolist())):
+        if c in wanted:
+            bound[c] = min(bound.get(c, i + 1), weight)
+            coset_cost[c] = coset_cost.get(c, 0) + q ** (k - 1 - i)
+
+    depth, cost = _plan(bound, coset_cost, k, q)
+    if cost > budget:
+        raise BudgetExceeded(f"minimum-weight search budget exceeded: {cost} > {budget}")
+
+    # limit[c] is k + 1 while a wanted class is unseen, then its least weight
+    # so far; it is 0 for the other classes, which filters them out for free
+    limit = np.zeros(n + 1, dtype=np.int64)
+    limit[list(wanted)] = k + 1
+    seen = {c: set() for c in wanted}
+    dtype = np.min_scalar_type(q - 1)
+
+    for v in range(1, depth + 1):
+        if all(limit[c] <= k for c in bound if bound[c] <= depth):
+            break
+        # y = (y_left, y_right) with the first nonzero entry a 1 in y_left,
+        # or in y_right when y_left = 0; a small layer is one block
+        half = k if _layer_size(k, q, v) <= _SEARCH_CHUNK else k // 2
+        for left in range(max(0, v - (k - half)), min(v, half) + 1):
+            xs, x_supp = _weight_layer(a.arr[:half], q, left, normalized=True)
+            ys, y_supp = _weight_layer(a.arr[half:], q, v - left, normalized=left == 0)
+            # one more column, 0 on the left and 1 on the right, puts the lead
+            # of an all-zero yA at class n
+            xs = np.hstack([xs, np.zeros((len(xs), 1), dtype=dtype)])
+            ys = np.hstack([ys, np.ones((len(ys), 1), dtype=dtype)])
+            for i0, j0, nz in _pair_supports(xs, ys, q):
+                lead = nz.argmax(axis=2)
+                _absorb(limit, seen, lead, v, lambda i, j: np.hstack([x_supp[i0 + i], y_supp[j0 + j]]))
+
+    todo = [c for c in bound if bound[c] > depth and limit[c] > k]
+    if todo:
+        # all combinations z of the rows from `start` on whose first nonzero
+        # coefficient is a 1 on a row of a class to do: that row is among the
+        # first `high` (any coefficients on the last `low`), or those are all 0
+        rows = np.flatnonzero(np.isin(row_class, todo))
+        start = int(rows[0])
+        span = basis[start:]
+        low = 0
+        while low < len(span) and q ** (low + 1) <= _SEARCH_CHUNK:
+            low += 1
+        high = len(span) - low
+        head, head_row = _led_words(q, high, rows - start)
+        tail, tail_row = _led_words(q, low, rows - start - high)
+        blocks = (  # (x words, y words, class of each pair as a broadcast view)
+            (head, qary_words(q, low), row_class[start + head_row][:, None]),
+            (np.zeros((1, high), dtype=np.int64), tail, row_class[start + high + tail_row][None, :]),
+        )
+        for x_words, y_words, pair_class in blocks:
+            xs = (x_words @ span[:high] % q).astype(dtype)
+            ys = (y_words @ span[high:] % q).astype(dtype)
+            pair_class = np.broadcast_to(pair_class, (len(xs), len(ys)))
+            for i0, j0, nz in _pair_supports(xs, ys, q):
+                cls = pair_class[i0 : i0 + nz.shape[0], j0 : j0 + nz.shape[1]]
+                _absorb(limit, seen, cls, nz.sum(axis=2), lambda i, j: nz[i, j])
+
+    classes = classes.tolist()
+    weights = np.array([limit[c] if c in seen else 0 for c in classes], dtype=np.int64)
+    supports = np.array([len(seen[c]) if c in seen else 0 for c in classes], dtype=np.int64)
+    return weights, supports
+
+
+#: Candidates handled per vectorised step of min_weight_search.
+_SEARCH_CHUNK = 1 << 14
+
+
+def _plan(bound: dict, coset_cost: dict, k: int, q: int):
+    """(w, candidate count) of the cheapest plan of min_weight_search.
+
+    Layers 1..w serve the classes whose weight bound is at most w, and the
+    cosets of each other class serve it.
+    """
+
+    def cost(w):
+        layers = sum(_layer_size(k, q, v) for v in range(1, w + 1))
+        return layers + sum(coset_cost[c] for c in bound if bound[c] > w)
+
+    depth = min(sorted({0, *bound.values()}), key=cost)
+    return depth, cost(depth)
+
+
+def _layer_size(k: int, q: int, w: int) -> int:
+    """Number of weight-w words of length k whose first nonzero entry is 1."""
+    return math.comb(k, w) * (q - 1) ** (w - 1)
+
+
+def _weight_layer(rows: np.ndarray, q: int, w: int, normalized: bool):
+    """Every y of weight w over ``rows``: (y @ rows mod q, support of y).
+
+    With ``normalized`` only the y whose first nonzero entry is 1.  Sums use
+    the smallest unsigned dtype that holds q - 1.
+    """
+    m, n = rows.shape
+    dtype = np.min_scalar_type(q - 1)
+    if w == 0 or w > m:
+        size = int(w == 0)
+        return np.zeros((size, n), dtype=dtype), np.zeros((size, m), dtype=bool)
+    supp = np.array(list(itertools.combinations(range(m), w)), dtype=np.int64)
+    coef = qary_words(q - 1, w) + 1
+    if normalized:
+        coef = coef[coef[:, 0] == 1]
+    sums = np.zeros((len(supp), len(coef), n), dtype=np.int64)
+    for pos in range(w):
+        sums += coef[None, :, pos, None] * rows[supp[:, pos]][:, None, :]
+    mask = np.zeros((len(supp), m), dtype=bool)
+    mask[np.arange(len(supp))[:, None], supp] = True
+    sums = sums.reshape(len(supp) * len(coef), n) % q
+    return sums.astype(dtype), np.repeat(mask, len(coef), axis=0)
+
+
+def _led_words(q: int, m: int, positions):
+    """Words of length m whose first nonzero digit is a 1 at one of
+    ``positions``, with the index of that digit."""
+    words = qary_words(q, m)
+    if m == 0:  # only the zero word, which has no first nonzero digit
+        return words[:0], np.zeros(0, dtype=np.int64)
+    first = (words != 0).argmax(axis=1)
+    keep = np.isin(first, positions)
+    keep[keep] = words[keep, first[keep]] == 1
+    return words[keep], first[keep]
+
+
+def _pair_supports(xs: np.ndarray, ys: np.ndarray, q: int):
+    """(i0, j0, support of xs[i0 + i] + ys[j0 + j]) blocks covering every pair.
+
+    x + y is nonzero exactly where x and -y differ, so each block is one
+    comparison, with no sum and no reduction mod q.
+    """
+    neg = (-ys.astype(np.int64) % q).astype(ys.dtype)
+    step_y = max(1, min(len(ys), _SEARCH_CHUNK))
+    step_x = max(1, _SEARCH_CHUNK // step_y)
+    for i0 in range(0, len(xs), step_x):
+        for j0 in range(0, len(ys), step_y):
+            yield i0, j0, xs[i0 : i0 + step_x, None] != neg[None, j0 : j0 + step_y]
+
+
+def _absorb(limit, seen, cls, weight, supports):
+    """Fold a block of candidates into the running least weights.
+
+    ``cls`` and ``weight`` broadcast to the block's (i, j) shape;
+    ``supports(i, j)`` returns the support rows of the candidates picked.
+    A class whose least weight falls forgets the supports it had.
+    """
+    cls, weight = np.broadcast_arrays(cls, weight)
+    i, j = np.nonzero(weight <= limit[cls])
+    if not i.size:
+        return
+    cls, weight = cls[i, j], weight[i, j]
+    low = limit.copy()
+    np.minimum.at(low, cls, weight)
+    for c in np.flatnonzero(low < limit):
+        limit[c] = low[c]
+        seen[int(c)].clear()
+    hit = weight == limit[cls]
+    packed = np.packbits(supports(i[hit], j[hit]), axis=1)
+    for c, key in zip(cls[hit].tolist(), packed):
+        seen[c].add(key.tobytes())
+
+
 def kron(a: FqMatrix, b: FqMatrix) -> FqMatrix:
     """Kronecker product with lexicographic tuple indexing.
 
@@ -284,7 +498,7 @@ def qary_words(q: int, k: int) -> np.ndarray:
     ordering ``kron`` uses for tuple indices.
     """
     idx = np.arange(q**k)
-    return np.stack([(idx // q ** (k - 1 - i)) % q for i in range(k)], axis=1)
+    return idx[:, None] // q ** np.arange(k - 1, -1, -1) % q
 
 
 def tensor_apply(m: FqMatrix, t: int, u) -> np.ndarray:

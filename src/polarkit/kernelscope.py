@@ -21,13 +21,14 @@ import numpy as np
 
 from . import polarlab
 from .fqlin import (
+    BudgetExceeded,
     FqMatrix,
     _as_modulus,
     enumeration_budget,
     field_inverse,
     kron,
     kron_power,
-    left_null_space,
+    min_weight_search,
     plu_decompose,
     qary_words,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "kernel_report",
 ]
 
-DEFAULT_KERNEL_BUDGET = 10**7
 DEFAULT_ML_BUDGET = 10**6
 
 
@@ -214,27 +214,14 @@ def tensor_witness(w: ContainmentWitness) -> ContainmentWitness:
 def left_kernel_distance(m0: FqMatrix, budget=None):
     """Minimum Hamming weight over nonzero u with u @ m0 = 0.
 
-    Returns math.inf when the left kernel is trivial.  Enumerates the kernel
-    through its basis, so the budget constrains q^(rows - rank).
+    Returns math.inf when the left kernel is trivial.  This is lead class
+    n = m0.cols of ``fqlin.min_weight_search``, which enumerates either the
+    kernel through its basis or all u by increasing weight, whichever is
+    cheaper; the budget caps that cheaper candidate count and is checked
+    before any enumeration (BudgetExceeded).
     """
-    basis = left_null_space(m0)
-    d = basis.rows
-    if d == 0:
-        return math.inf
-    q = m0.q
-    budget = enumeration_budget(DEFAULT_KERNEL_BUDGET) if budget is None else budget
-    total = q**d
-    if total > budget:
-        raise ValueError(f"kernel enumeration budget exceeded: {total} > {budget}")
-    best = m0.rows + 1
-    chunk = 1 << 16
-    for lo in range(1, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi)
-        coeffs = np.stack([(idx // q**i) % q for i in range(d)], axis=1)
-        vecs = coeffs @ basis.arr % q
-        best = min(best, int(np.count_nonzero(vecs, axis=1).min()))
-    return best
+    (weight,), _ = min_weight_search(m0, [m0.cols], budget)
+    return math.inf if weight == 0 else int(weight)
 
 
 @dataclass(frozen=True)
@@ -404,6 +391,19 @@ class KernelReport:
     b: int | None
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def exponent(self) -> float | None:
+        """E(M) = (1/k) sum_j log_k d[j], the largest beta the kernel reaches.
+
+        Korada-Sasoglu-Urbanke (2010): block error exp(-N^beta) is achievable
+        for every beta < E(M) and for none above it.  None when the
+        exponents are.
+        """
+        if self.exponents is None:
+            return None
+        k = len(self.exponents)
+        return float(np.log(self.exponents).sum() / (k * math.log(k)))
+
     def to_dict(self) -> dict:
         dist = self.distance
         if dist is not None and not isinstance(dist, str) and math.isinf(dist):
@@ -413,6 +413,7 @@ class KernelReport:
             "distance": dist if dist is None or isinstance(dist, str) else int(dist),
             "block_cols": self.block_cols,
             "exponents": None if self.exponents is None else [int(d) for d in self.exponents],
+            "exponent": self.exponent,
             "eta": self.eta,
             "b": self.b,
             "witness": None if self.witness is None else self.witness.to_dict(),
@@ -421,7 +422,15 @@ class KernelReport:
 
 
 def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> KernelReport:
-    """Assemble the standard report: mixing, H-witness, block distance, exponents."""
+    """Assemble the standard report: mixing, H-witness, block distance, exponents.
+
+    The block distance and the leading exponents each come from one
+    ``fqlin.min_weight_search`` within its default budget (POLARLAB_BUDGET,
+    else 10^7 candidates), which replaces the former k <= 20 cap on
+    exponents.  A block distance over budget raises BudgetExceeded;
+    exponents over budget are reported as None, as for a kernel that is
+    not mixing.
+    """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")
     mixing = is_mixing(m)
@@ -430,9 +439,13 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> 
     if block_cols is not None:
         distance = left_kernel_distance(FqMatrix(m.q, m.arr[:, :block_cols]))
     exponents = eta = b = None
-    if mixing and m.rows <= 20:
-        lead = polarlab.leading_exponents(m)
-        exponents, eta, b = lead.d, lead.eta, lead.b
+    if mixing:
+        try:
+            lead = polarlab.leading_exponents(m)
+        except BudgetExceeded:
+            pass
+        else:
+            exponents, eta, b = lead.d, lead.eta, lead.b
     return KernelReport(
         mixing, witness, block_cols, distance, exponents, eta, b, metadata or {}
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fqlin import FqMatrix, enumeration_budget, row_echelon
+from .fqlin import FqMatrix, enumeration_budget, min_weight_search, row_echelon
 
 __all__ = [
     "ErasurePolynomialSet",
@@ -165,12 +165,25 @@ class LeadingExponents:
     b: int | None
 
 
-def leading_exponents(polys) -> LeadingExponents:
-    """Read the leading exponents off the pattern counts."""
-    polys = _coerce_polys(polys)
-    counts = polys.counts
-    d = (counts[:, 1:] > 0).argmax(axis=1) + 1
-    constants = counts[np.arange(polys.k), d]
+def leading_exponents(m, budget=None) -> LeadingExponents:
+    """Leading exponents of a kernel, or of its erasure polynomials.
+
+    Given an ``ErasurePolynomialSet``, reads them off the pattern counts.
+    Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
+    weight and the number of least-weight supports in lead class j of
+    ``fqlin.min_weight_search``, so no 2^k pattern pass is made; the budget
+    caps that search's candidate count (BudgetExceeded beyond it).
+    """
+    if isinstance(m, ErasurePolynomialSet):
+        counts = m.counts
+        d = (counts[:, 1:] > 0).argmax(axis=1) + 1
+        constants = counts[np.arange(m.k), d]
+    else:
+        if m.rows != m.cols:
+            raise ValueError("kernel must be square")
+        d, constants = min_weight_search(m, range(m.rows), budget)
+        if not d.all():  # an empty class: column j lies in the span of the earlier ones
+            raise ValueError("singular kernel")
     strong = d >= 2
     eta = float(strong.mean())
     b = int(d[strong].min()) if strong.any() else None
@@ -281,8 +294,11 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
         raise ValueError("no levels supplied")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    # NaN fails every comparison, so these checks are written to let it fail
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite; got {lam}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite; got {threshold}")
     ts, f_exp, f_strong, rate, under = [], [], [], [], []
     for lev in levels:
         v = lev.values

@@ -1,10 +1,11 @@
 """Random draws and reference checks shared by several test modules."""
 
 import itertools
+import math
 
 import numpy as np
 
-from polarkit.fqlin import FqMatrix
+from polarkit.fqlin import FqMatrix, left_null_space, qary_words
 
 
 def random_invertible(q, k: int, rng: np.random.Generator) -> FqMatrix:
@@ -28,3 +29,48 @@ def is_mixing_brute(m: FqMatrix) -> bool:
         all(not a[perm[i], :i].any() for i in range(m.rows))
         for perm in itertools.permutations(range(m.rows))
     )
+
+
+def left_kernel_distance_enum(m0: FqMatrix):
+    """Minimum weight of nonzero u with u @ m0 = 0, by listing the whole kernel.
+
+    Enumerates all q^dim - 1 nonzero kernel vectors through a basis;
+    ``kernelscope.left_kernel_distance`` is tested against it.
+    """
+    basis = left_null_space(m0)
+    d = basis.rows
+    if d == 0:
+        return math.inf
+    q = m0.q
+    best = m0.rows + 1
+    total = q**d
+    chunk = 1 << 16
+    for lo in range(1, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total))
+        coeffs = np.stack([(idx // q**i) % q for i in range(d)], axis=1)
+        vecs = coeffs @ basis.arr % q
+        best = min(best, int(np.count_nonzero(vecs, axis=1).min()))
+    return best
+
+
+def lead_class_weights_brute(a: FqMatrix):
+    """Least weight and least-weight support count per lead class, from all q^k y.
+
+    The lead class of y is the first nonzero index of y @ a, or a.cols when
+    that is zero; an empty class reads (0, 0).  The oracle of
+    ``fqlin.min_weight_search``, for small k only.
+    """
+    q, k, n = a.q, a.rows, a.cols
+    ys = qary_words(q, k)[1:]
+    # a final all-True column sends the y with y @ a = 0 to class n
+    nz = np.hstack([ys @ a.arr % q != 0, np.ones((len(ys), 1), dtype=bool)])
+    lead = nz.argmax(axis=1)
+    weight = np.count_nonzero(ys, axis=1)
+    least = np.zeros(n + 1, dtype=np.int64)
+    supports = np.zeros(n + 1, dtype=np.int64)
+    for c in range(n + 1):
+        if (lead == c).any():
+            least[c] = weight[lead == c].min()
+            at_least = ys[(lead == c) & (weight == least[c])] != 0
+            supports[c] = len({row.tobytes() for row in at_least})
+    return least, supports

@@ -158,9 +158,17 @@ def test_validation_error_exit_2(capsys):
     ["analyze-kernel", "--block-cols", "5"],
     ["distance", "--cols", "9"],
     ["distance", "--cols", "-1"],
+    # NaN fails every comparison, so unguarded it froze nothing, reported
+    # rho_hat=nan or eta=0, and exited 0
+    ["construct", "--channel", "erasure:0.3", "--t", "3", "--threshold", "nan", "--seed", "1"],
+    ["polarize", "--z", "0.5", "--t", "3", "--lambda", "nan"],
+    ["polarize", "--z", "0.5", "--t", "3", "--threshold", "nan"],
+    ["exponents", "--b-min", "nan"],
 ], ids=["nan-table", "genie-trials-0", "construct-t-neg", "polarize-t-neg",
         "polarize-t-min-neg1", "polarize-t-min-neg4",
-        "block-cols-too-wide", "cols-too-wide", "cols-negative"])
+        "block-cols-too-wide", "cols-too-wide", "cols-negative",
+        "construct-threshold-nan", "polarize-lambda-nan", "polarize-threshold-nan",
+        "exponents-b-min-nan"])
 def test_out_of_range_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2
     assert capsys.readouterr().err.startswith("error: ")

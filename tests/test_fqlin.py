@@ -5,19 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
+from polarkit import fqlin
 from polarkit.fqlin import (
+    BudgetExceeded,
     FieldModulus,
     FqMatrix,
     field_inverse,
     kron,
     kron_power,
     left_null_space,
+    min_weight_search,
     plu_decompose,
     qary_words,
     tensor_apply,
 )
 
-from helpers import random_invertible
+from helpers import lead_class_weights_brute, random_invertible
 
 
 def test_field_modulus_rejects_composites():
@@ -237,3 +240,64 @@ def test_product_and_sum_dimension_mismatch():
         a @ b
     with pytest.raises(ValueError, match="dimension mismatch"):
         a + b
+
+
+def _search_cases():
+    """Random blocks over q in {2, 3, 5, 7}: square, wide and tall, with
+    zero columns, repeated (rank-deficient) columns and singular squares."""
+    rng = np.random.default_rng(53)
+    for q, kmax in ((2, 8), (3, 6), (5, 4), (7, 4)):
+        for trial in range(12):
+            k = int(rng.integers(1, kmax + 1))
+            n = k if trial < 4 else int(rng.integers(0, kmax + 2))
+            arr = rng.integers(0, q, size=(k, n))
+            if n and trial % 3 == 1:
+                arr[:, -1] = arr[:, 0] * (q - 1) % q  # rank-deficient
+            if n and trial % 4 == 2:
+                arr[:, int(rng.integers(0, n))] = 0  # a zero column
+            if k > 1 and trial == 3:
+                arr[-1] = arr[0]  # a singular square matrix
+            yield FqMatrix(q, arr)
+
+
+@pytest.mark.parametrize("chunk", [fqlin._SEARCH_CHUNK, 3], ids=["chunk-default", "chunk-3"])
+@pytest.mark.parametrize("a", list(_search_cases()), ids=lambda a: f"q{a.q}-{a.rows}x{a.cols}")
+def test_min_weight_search_matches_brute_force(a, chunk, monkeypatch):
+    # a 3-candidate chunk splits every layer into halves and every coset
+    # enumeration into many blocks
+    monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", chunk)
+    least, supports = lead_class_weights_brute(a)
+    weights, counts = min_weight_search(a)
+    assert weights.tolist() == least.tolist()
+    assert counts.tolist() == supports.tolist()
+    # every layer depth, from all-coset to all-layer plans, on a subset of
+    # classes in scrambled order, gives the same answer
+    classes = np.random.default_rng(a.rows * 31 + a.cols).permutation(a.cols + 1)[: a.cols]
+    for depth in range(a.rows + 2):
+        monkeypatch.setattr(fqlin, "_plan", lambda *args, depth=depth: (depth, 0))
+        weights, counts = min_weight_search(a, classes)
+        assert weights.tolist() == least[classes].tolist()
+        assert counts.tolist() == supports[classes].tolist()
+
+
+def test_min_weight_search_edge_shapes():
+    # no columns: every nonzero y is in class 0 = n
+    w, s = min_weight_search(FqMatrix.zeros(3, 4, 0))
+    assert w.tolist() == [1] and s.tolist() == [4]
+    # a zero matrix: class n only
+    w, s = min_weight_search(FqMatrix.zeros(5, 3, 2))
+    assert w.tolist() == [0, 0, 1] and s.tolist() == [0, 0, 3]
+    w, s = min_weight_search(FqMatrix.identity(2, 3), [])
+    assert w.size == 0 and s.size == 0
+    with pytest.raises(ValueError, match="lead classes"):
+        min_weight_search(FqMatrix.identity(2, 3), [4])
+
+
+def test_min_weight_search_budget_is_checked_first():
+    # the identity's cheapest plan costs k: one weight-1 layer
+    with pytest.raises(BudgetExceeded, match="budget exceeded: 12 > 11"):
+        min_weight_search(FqMatrix.identity(2, 12), range(12), budget=11)
+    w, _ = min_weight_search(FqMatrix.identity(2, 12), range(12), budget=12)
+    assert w.tolist() == [1] * 12
+    assert issubclass(BudgetExceeded, ValueError)
+

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polarkit.fqlin import FqMatrix, kron
+from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power
 from polarkit.kernelscope import (
     build_high_distance_kernel,
     extract_high_distance_columns,
@@ -22,7 +22,7 @@ from polarkit.kernelscope import (
 )
 from polarkit.polarlab import leading_exponents
 
-from helpers import is_mixing_brute, random_invertible
+from helpers import is_mixing_brute, left_kernel_distance_enum, random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
@@ -241,3 +241,63 @@ def test_kernel_report_roundtrip():
     assert d["mixing"] is True and d["exponents"] == [1, 2]
     rep_inf = kernel_report(FqMatrix(2, [[1, 0], [1, 1]]), block_cols=2)
     assert rep_inf.to_dict()["distance"] == "inf"
+
+
+def test_left_kernel_distance_matches_kernel_enumeration():
+    rng = np.random.default_rng(67)
+    for q, kmax in ((2, 12), (3, 8), (5, 6), (7, 5)):
+        for trial in range(15):
+            k = int(rng.integers(1, kmax + 1))
+            arr = rng.integers(0, q, size=(k, int(rng.integers(0, k + 2))))
+            if arr.shape[1] and trial % 3 == 0:
+                arr[:, 0] = 0  # a zero column
+            if arr.shape[1] > 1 and trial % 3 == 1:
+                arr[:, 1] = arr[:, 0]  # rank-deficient
+            m0 = FqMatrix(q, arr)
+            assert left_kernel_distance(m0) == left_kernel_distance_enum(m0)
+
+
+def test_block_distance_is_least_trailing_exponent():
+    # u M[:, :c] = 0 with u != 0 means u M leads at some j >= c, so the block
+    # distance is the least partial distance of the trailing indices
+    rng = np.random.default_rng(71)
+    kernels = [random_invertible(q, k, rng) for q, k in ((2, 6), (2, 9), (3, 5), (5, 4), (7, 3))]
+    kernels.append(build_high_distance_kernel(2, 15, 2).matrix)
+    for m in kernels:
+        d = leading_exponents(m).d
+        for c in range(m.cols + 1):
+            expected = math.inf if c == m.cols else int(d[c:].min())
+            assert left_kernel_distance(FqMatrix(m.q, m.arr[:, :c])) == expected
+
+
+def test_kernel_report_exponent():
+    rep = kernel_report(ARIKAN)
+    assert rep.exponent == 0.5 and rep.to_dict()["exponent"] == 0.5
+    # arikan^2 has d = [1, 2, 2, 4]: E = (0 + 1/2 + 1/2 + 1) / 4
+    assert kernel_report(kron(ARIKAN, ARIKAN)).exponent == pytest.approx(0.5)
+    not_mixing = kernel_report(FqMatrix.identity(2, 3))
+    assert not_mixing.exponents is None and not_mixing.exponent is None
+    assert not_mixing.to_dict()["exponent"] is None
+
+
+def test_kernel_report_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "40")
+    big = kron_power(ARIKAN, 5)
+    rep = kernel_report(big, block_cols=31)
+    # the exponents' search is over budget and reported as missing ...
+    assert rep.mixing and rep.exponents is None and rep.exponent is None
+    assert rep.distance == 32
+    # ... while an over-budget block distance raises: its cheapest plan is
+    # the 528 words of weight <= 2
+    with pytest.raises(BudgetExceeded, match="528 > 40"):
+        kernel_report(big, block_cols=16)
+    # k = 21, beyond the former k <= 20 cap, fits the default budget; the
+    # partial distances of a Kronecker product are the products of its
+    # factors' (Korada, Sasoglu and Urbanke 2010)
+    monkeypatch.delenv(BUDGET_ENV)
+    m3 = random_mixing(2, 3, np.random.default_rng(3))
+    hamming7 = build_high_distance_kernel(2, 7, 1).matrix
+    rep = kernel_report(kron(m3, hamming7))
+    d = np.outer(leading_exponents(m3).d, leading_exponents(hamming7).d).ravel()
+    assert rep.exponents.tolist() == d.tolist()
+    assert rep.exponent == pytest.approx(np.log(d).sum() / (21 * np.log(21)))

@@ -259,3 +259,41 @@ def test_pattern_budget_guard():
     big = FqMatrix.identity(2, 21)
     with pytest.raises(ValueError, match="budget"):
         erasure_polynomials(big)
+
+
+def _search_kernels():
+    """Invertible kernels over q in {2, 3, 5, 7}, plus the built-in hamming7."""
+    rng = np.random.default_rng(61)
+    for q, ks in ((2, (2, 5, 8, 10)), (3, (3, 5, 7)), (5, (2, 4, 5)), (7, (3, 4))):
+        for k in ks:
+            yield random_invertible(q, k, rng)
+            yield random_mixing(q, k, rng)
+    yield resolve_kernel("hamming7", 2)
+    yield kron(random_mixing(3, 2, rng), random_mixing(3, 3, rng))
+
+
+@pytest.mark.parametrize("m", list(_search_kernels()), ids=lambda m: f"q{m.q}-k{m.rows}")
+def test_leading_exponents_search_matches_pattern_counts(m):
+    by_search = leading_exponents(m)
+    by_counts = leading_exponents(erasure_polynomials(m))
+    assert by_search.d.tolist() == by_counts.d.tolist()
+    assert by_search.constants.tolist() == by_counts.constants.tolist()
+    assert (by_search.eta, by_search.b) == (by_counts.eta, by_counts.b)
+
+
+def test_leading_exponents_arikan_power_5():
+    # k = 32 lies far beyond the 2^k pattern pass; partial distances of the
+    # Arikan kernel's powers are 2^popcount(j).  The cheapest plan takes
+    # about 1.5e7 candidates, above the default budget.
+    m = kron_power(ARIKAN, 5)
+    lead = leading_exponents(m, budget=2 * 10**7)
+    assert lead.d.tolist() == [2 ** bin(j).count("1") for j in range(32)]
+    with pytest.raises(ValueError, match="budget exceeded"):
+        leading_exponents(m)
+
+
+def test_leading_exponents_rejects_singular_and_non_square():
+    with pytest.raises(ValueError, match="singular"):
+        leading_exponents(FqMatrix(3, [[1, 2], [2, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        leading_exponents(FqMatrix(2, [[1, 0, 1], [0, 1, 1]]))
