@@ -28,7 +28,6 @@ __all__ = [
     "qary_words",
     "tensor_apply",
     "plu_decompose",
-    "left_null_space",
     "row_echelon",
     "enumeration_budget",
     "BudgetExceeded",
@@ -240,27 +239,6 @@ def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None
             if above.size:
                 a[above] = (a[above] - np.outer(a[above, col], a[i])) % q
     return a, pivots
-
-
-def left_null_space(m: FqMatrix) -> FqMatrix:
-    """Basis of the left kernel {u : u M = 0}, one basis vector per row.
-
-    The basis has rows(M) - rank(M) rows; a 0 x rows(M) matrix signals a
-    trivial kernel.
-    """
-    q = m.q
-    n = m.rows
-    if m.cols == 0:
-        return FqMatrix.identity(q, n)
-    ech, pivots = row_echelon(m.arr.T, q, reduced=True)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for i, col in enumerate(pivots):
-            basis[bi, col] = (-ech[i, f]) % q
-    return FqMatrix(q, basis)
 
 
 class BudgetExceeded(ValueError):

@@ -424,12 +424,13 @@ class KernelReport:
 def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> KernelReport:
     """Assemble the standard report: mixing, H-witness, block distance, exponents.
 
-    The block distance and the leading exponents each come from one
-    ``fqlin.min_weight_search`` within its default budget (POLARLAB_BUDGET,
-    else 10^7 candidates), which replaces the former k <= 20 cap on
-    exponents.  A block distance over budget raises BudgetExceeded;
-    exponents over budget are reported as None, as for a kernel that is
-    not mixing.
+    The block distance comes from one ``fqlin.min_weight_search`` within
+    its default budget (POLARLAB_BUDGET, else 10^7 candidates) and raises
+    BudgetExceeded beyond it.  The leading exponents come from
+    ``polarlab.leading_exponents``: that search, or the 2^k pattern pass
+    where it is cheaper, which replaces the former k <= 20 cap.  Exponents
+    that neither fits are reported as None, as for a kernel that is not
+    mixing.
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fqlin import FqMatrix, enumeration_budget, min_weight_search, row_echelon
+from .fqlin import (
+    DEFAULT_SEARCH_BUDGET,
+    BudgetExceeded,
+    FqMatrix,
+    enumeration_budget,
+    min_weight_search,
+    row_echelon,
+)
 
 __all__ = [
     "ErasurePolynomialSet",
@@ -165,29 +172,46 @@ class LeadingExponents:
     b: int | None
 
 
-def leading_exponents(m, budget=None) -> LeadingExponents:
+def leading_exponents(m) -> LeadingExponents:
     """Leading exponents of a kernel, or of its erasure polynomials.
 
     Given an ``ErasurePolynomialSet``, reads them off the pattern counts.
     Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
     weight and the number of least-weight supports in lead class j of
-    ``fqlin.min_weight_search``, so no 2^k pattern pass is made; the budget
-    caps that search's candidate count (BudgetExceeded beyond it).
+    ``fqlin.min_weight_search``, or the same numbers read off the pattern
+    counts when those are cheaper.  A pattern reduces a k x k basis and a
+    search candidate compares k + 1 entries, so the search runs when its
+    planned candidate count is below k * 2^k or the pattern pass is over
+    its budget (POLARLAB_BUDGET, else 2^20 patterns and k <= 20); beyond
+    the search's own budget it raises BudgetExceeded.
     """
     if isinstance(m, ErasurePolynomialSet):
-        counts = m.counts
-        d = (counts[:, 1:] > 0).argmax(axis=1) + 1
-        constants = counts[np.arange(m.k), d]
+        d, constants = _count_exponents(m.counts)
     else:
-        if m.rows != m.cols:
-            raise ValueError("kernel must be square")
-        d, constants = min_weight_search(m, range(m.rows), budget)
-        if not d.all():  # an empty class: column j lies in the span of the earlier ones
-            raise ValueError("singular kernel")
+        d, constants = _kernel_exponents(m)
     strong = d >= 2
     eta = float(strong.mean())
     b = int(d[strong].min()) if strong.any() else None
     return LeadingExponents(d, constants, eta, b)
+
+
+def _count_exponents(counts: np.ndarray):
+    d = (counts[:, 1:] > 0).argmax(axis=1) + 1
+    return d, counts[np.arange(len(counts)), d]
+
+
+def _kernel_exponents(m: FqMatrix):
+    if m.rows != m.cols:
+        raise ValueError("kernel must be square")
+    k = m.rows
+    if len(row_echelon(m.arr, m.q)[1]) < k:
+        raise ValueError("singular kernel")
+    if k > 20 or 2**k > enumeration_budget(DEFAULT_PATTERN_BUDGET):
+        return min_weight_search(m, range(k))
+    try:
+        return min_weight_search(m, range(k), min(k * 2**k, enumeration_budget(DEFAULT_SEARCH_BUDGET)))
+    except BudgetExceeded:
+        return _count_exponents(erasure_polynomials(m).counts)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from polarkit.fqlin import FqMatrix, left_null_space, qary_words
+from polarkit.fqlin import FqMatrix, qary_words, row_echelon
 
 
 def random_invertible(q, k: int, rng: np.random.Generator) -> FqMatrix:
@@ -29,6 +29,27 @@ def is_mixing_brute(m: FqMatrix) -> bool:
         all(not a[perm[i], :i].any() for i in range(m.rows))
         for perm in itertools.permutations(range(m.rows))
     )
+
+
+def left_null_space(m: FqMatrix) -> FqMatrix:
+    """Basis of the left kernel {u : u M = 0}, one basis vector per row.
+
+    The basis has rows(M) - rank(M) rows; a 0 x rows(M) matrix signals a
+    trivial kernel.
+    """
+    q = m.q
+    n = m.rows
+    if m.cols == 0:
+        return FqMatrix.identity(q, n)
+    ech, pivots = row_echelon(m.arr.T, q, reduced=True)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for bi, f in enumerate(free):
+        basis[bi, f] = 1
+        for i, col in enumerate(pivots):
+            basis[bi, col] = (-ech[i, f]) % q
+    return FqMatrix(q, basis)
 
 
 def left_kernel_distance_enum(m0: FqMatrix):

@@ -13,14 +13,13 @@ from polarkit.fqlin import (
     field_inverse,
     kron,
     kron_power,
-    left_null_space,
     min_weight_search,
     plu_decompose,
     qary_words,
     tensor_apply,
 )
 
-from helpers import lead_class_weights_brute, random_invertible
+from helpers import lead_class_weights_brute, left_null_space, random_invertible
 
 
 def test_field_modulus_rejects_composites():

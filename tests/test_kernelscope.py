@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power
+from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power, min_weight_search
 from polarkit.kernelscope import (
     build_high_distance_kernel,
     extract_high_distance_columns,
@@ -278,6 +278,19 @@ def test_kernel_report_exponent():
     not_mixing = kernel_report(FqMatrix.identity(2, 3))
     assert not_mixing.exponents is None and not_mixing.exponent is None
     assert not_mixing.to_dict()["exponent"] is None
+
+
+def test_kernel_report_large_field_exponents():
+    # a k = 20 kernel over F_5 plans about 5e7 search candidates, above the
+    # search budget, so its exponents come from the 2^20 erasure patterns;
+    # those of a Kronecker product are the products of its factors'
+    a, b = (random_mixing(5, k, np.random.default_rng(k)) for k in (4, 5))
+    m = kron(a, b)
+    with pytest.raises(BudgetExceeded):
+        min_weight_search(m, range(20))
+    rep = kernel_report(m)
+    d = np.outer(leading_exponents(a).d, leading_exponents(b).d).ravel()
+    assert rep.exponents.tolist() == d.tolist()
 
 
 def test_kernel_report_budget(monkeypatch):

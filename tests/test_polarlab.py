@@ -7,7 +7,15 @@ import pytest
 
 from polarkit.cli import resolve_kernel
 from polarkit.entropy import erasure_joint, polar_entropies
-from polarkit.fqlin import FqMatrix, kron, kron_power, row_echelon
+from polarkit.fqlin import (
+    BUDGET_ENV,
+    BudgetExceeded,
+    FqMatrix,
+    kron,
+    kron_power,
+    min_weight_search,
+    row_echelon,
+)
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import (
     erasure_polynomials,
@@ -281,15 +289,28 @@ def test_leading_exponents_search_matches_pattern_counts(m):
     assert (by_search.eta, by_search.b) == (by_counts.eta, by_counts.b)
 
 
-def test_leading_exponents_arikan_power_5():
+def test_leading_exponents_arikan_power_5(monkeypatch):
     # k = 32 lies far beyond the 2^k pattern pass; partial distances of the
     # Arikan kernel's powers are 2^popcount(j).  The cheapest plan takes
     # about 1.5e7 candidates, above the default budget.
     m = kron_power(ARIKAN, 5)
-    lead = leading_exponents(m, budget=2 * 10**7)
-    assert lead.d.tolist() == [2 ** bin(j).count("1") for j in range(32)]
-    with pytest.raises(ValueError, match="budget exceeded"):
+    with pytest.raises(BudgetExceeded, match="budget exceeded"):
         leading_exponents(m)
+    monkeypatch.setenv(BUDGET_ENV, str(2 * 10**7))
+    lead = leading_exponents(m)
+    assert lead.d.tolist() == [2 ** bin(j).count("1") for j in range(32)]
+
+
+def test_leading_exponents_large_field_uses_pattern_counts():
+    # over F_257 a generic 7 x 7 kernel has d[j] = j + 1 and the search plans
+    # about 1.9e7 candidates, above its budget, against 2^7 patterns
+    m = random_mixing(257, 7, np.random.default_rng(8))
+    with pytest.raises(BudgetExceeded):
+        min_weight_search(m, range(7))
+    lead = leading_exponents(m)
+    by_counts = leading_exponents(erasure_polynomials(m))
+    assert lead.d.tolist() == by_counts.d.tolist() == list(range(1, 8))
+    assert lead.constants.tolist() == by_counts.constants.tolist()
 
 
 def test_leading_exponents_rejects_singular_and_non_square():
@@ -297,3 +318,8 @@ def test_leading_exponents_rejects_singular_and_non_square():
         leading_exponents(FqMatrix(3, [[1, 2], [2, 1]]))
     with pytest.raises(ValueError, match="square"):
         leading_exponents(FqMatrix(2, [[1, 0, 1], [0, 1, 1]]))
+    # rank is checked before any budget: this one's search would be over it
+    big = kron_power(ARIKAN, 5).arr.copy()
+    big[-1] = big[0]
+    with pytest.raises(ValueError, match="singular kernel"):
+        leading_exponents(FqMatrix(2, big))
