@@ -2,10 +2,10 @@
 
 Every run resolves its arguments into a plain spec dictionary that is embedded
 verbatim in the output header, so a result file names the exact experiment
-that produced it.  Outputs are byte-reproducible for a fixed (seed, workers)
-pair: no wall-clock values, stable key order, repr-formatted floats.  The
-result goes to ``--out`` or, without it, alone to stdout; the one-line status
-summary goes to stderr.
+that produced it.  Outputs are byte-reproducible for a fixed seed, since the
+spec also carries the trial counts: no wall-clock values, stable key order,
+repr-formatted floats.  The result goes to ``--out`` or, without it, alone to
+stdout; the one-line status summary goes to stderr.
 
 Exit codes: 0 success, 2 argument/validation error, 1 runtime failure.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -128,6 +129,8 @@ def cmd_polarize(args) -> int:
 
 
 def cmd_exponents(args) -> int:
+    if not math.isfinite(args.b_min):
+        raise ValueError(f"--b-min must be finite; got {args.b_min}")
     m = resolve_kernel(args.kernel, args.q)
     deltas = [float(d) for d in args.deltas.split(",")]
     rep = entropy.polarization_exponents(m, entropy.erasure_family(m.q), deltas)
@@ -164,9 +167,9 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     code = codec.construct_code(m, ch, args.t, rate=args.rate, rng=rng, genie_trials=args.genie_trials)
     fer_rng = np.random.default_rng(args.seed + 1)
-    res = codec.fer_experiment(code, ch, args.trials, fer_rng, workers=args.workers)
+    res = codec.fer_experiment(code, ch, args.trials, fer_rng)
     cap = channels.capacity(ch)
-    spec = _spec_dict(args, ["kernel", "q", "channel", "t", "rate", "trials", "seed", "workers", "genie_trials"])
+    spec = _spec_dict(args, ["kernel", "q", "channel", "t", "rate", "trials", "seed", "genie_trials"])
     columns = ["N", "rate", "capacity", "gap", "failures", "trials", "fer", "ci_low", "ci_high"]
     row = [
         code.block_length,
@@ -225,15 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"polarkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, channel=False, seeded=False):
+    def common(sp, channel=False):
         sp.add_argument("--kernel", default="arikan", help="arikan | arikan2 | hamming7 | file.json | inline JSON")
         sp.add_argument("--q", type=int, default=2, help="field modulus for builtin kernels")
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
         if channel:
             sp.add_argument("--channel", required=True, help="erasure:Z | qsc:EPS | JSON file or literal")
-        if seeded:
-            sp.add_argument("--seed", type=int, required=True)
-            sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("analyze-kernel", help="mixing, containment witness, distance, exponents")
     common(sp)
@@ -267,10 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("simulate", help="Monte Carlo frame-error-rate experiment")
-    common(sp, channel=True, seeded=True)
+    common(sp, channel=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--rate", type=float, required=True)
     sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--genie-trials", type=int, default=10_000)
     sp.set_defaults(func=cmd_simulate)
 

@@ -16,11 +16,14 @@ information positions by maximum posterior, ties going to the smallest field
 element: a symbol within 1e-12 of the top posterior is a tie, so that float
 summation order never breaks an exact one.
 
-The decoder is fully batched, so a Monte Carlo experiment decodes its whole
-trial block through one recursion.  Posteriors are symbol-major, shape
-(q, positions, words): a node's child s is one contiguous (q, sub * B) block,
-each of the q^k weight rows and every sum over them runs over sub * B
-contiguous values, and the leaf reads its (B, q) posteriors as a view.
+The decoder is fully batched.  A Monte Carlo experiment runs in fixed chunks
+of ``_CHUNK`` trials: chunk i draws, encodes, samples and decodes through one
+recursion from its own stream, child i of the caller's generator, so results
+depend only on (seed, trials) and memory on the chunk, not on the trial
+count.  Posteriors are symbol-major, shape (q, positions, words): a node's
+child s is one contiguous (q, sub * B) block, each of the q^k weight rows and
+every sum over them runs over sub * B contiguous values, and the leaf reads
+its (B, q) posteriors as a view.
 
 Decoding skips two kinds of subtree whose output is known exactly (genie
 profiling and ``keep_posteriors`` keep the full recursion).  An all-frozen
@@ -63,6 +66,8 @@ __all__ = [
 ]
 
 DEFAULT_CODE_BUDGET = 10**6
+# trials per Monte Carlo chunk: one random stream and one SC recursion each
+_CHUNK = 1024
 # a decision takes the smallest symbol within this much of the top posterior:
 # the summation order alone must not break an exact tie
 _TIE = 1e-12
@@ -251,6 +256,7 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
         w = np.empty((q**k, m))
         for row, (c, last) in enumerate(order):
             np.multiply(head[c], children[last, k - 1], out=w[row])
+        del head  # (q^(k-1), m): not held through the children's recursion
         cols = np.arange(m)
         v = 0  # index of the decided kernel outputs so far
         for a in range(k):
@@ -409,6 +415,8 @@ def sc_decode(code: PolarCode, y, channel: Channel | None = None,
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (code.block_length,):
         raise ValueError(f"received word must have length {code.block_length}")
+    if np.any((y < 0) | (y >= channel.outputs)):
+        raise ValueError(f"received symbols must lie in [0, {channel.outputs})")
     u_hat, posteriors = _decode_batch(code, y[None, :], channel, keep_posteriors)
     message = u_hat[0][code.info]
     success = None
@@ -419,33 +427,38 @@ def sc_decode(code: PolarCode, y, channel: Channel | None = None,
 
 def genie_error_rates(
     kernel: FqMatrix, channel: Channel, t: int, trials: int, rng: np.random.Generator,
-    batch: int = 1024,
 ) -> np.ndarray:
     """Per-index decision-error frequencies with all previous symbols revealed.
 
     Transmits known uniform data; at each index the SC decision is compared
     with the truth and then replaced by it, so every index is profiled under
-    error-free conditioning.
+    error-free conditioning.  Chunked like ``fer_experiment``: the estimate
+    depends only on (seed, trials), and ``rng`` itself draws nothing.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
+    if t < 0:
+        raise ValueError("tensor depth must be nonnegative")
     n = kernel.rows**t
-    # draw all randomness up front so the estimate is batch-size independent
-    u = rng.integers(0, kernel.q, size=(trials, n))
-    y = sample_outputs(channel, tensor_apply(_v_table(kernel)[2], t, u), rng)
+    inv = _v_table(kernel)[2]
     errors = np.zeros(n, dtype=np.int64)
     tie = _TIE * np.arange(kernel.q)
-    for lo in range(0, trials, batch):
-        truth = u[lo:lo + batch]
+    for crng, size in _trial_chunks(rng, trials):
+        truth = crng.integers(0, kernel.q, size=(size, n))
+        y = sample_outputs(channel, tensor_apply(inv, t, truth), crng)
 
         def leaf(i, p):
             errors[i] += np.count_nonzero(np.argmax(p - tie, axis=1) != truth[:, i])
             return truth[:, i]
 
-        _sc(kernel, _channel_posteriors(channel, y[lo:lo + batch]), t, leaf)
+        _sc(kernel, _channel_posteriors(channel, y), t, leaf)
     return errors / trials
+
+
+def _trial_chunks(rng: np.random.Generator, trials: int) -> list:
+    """(stream, size) per chunk: child i of ``rng`` runs trials i*_CHUNK onwards."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    streams = rng.spawn(-(-trials // _CHUNK))
+    return [(s, min(_CHUNK, trials - i * _CHUNK)) for i, s in enumerate(streams)]
 
 
 def _wilson(failures: int, trials: int, z: float = 1.959963984540054):
@@ -458,14 +471,7 @@ def _wilson(failures: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def fer_experiment(
-    code: PolarCode,
-    channel: Channel,
-    trials: int,
-    rng: np.random.Generator,
-    workers: int = 1,
-    batch: int = 1024,
-) -> FerResult:
+def fer_experiment(code: PolarCode, channel: Channel, trials: int, rng: np.random.Generator) -> FerResult:
     """Monte Carlo frame-error rate with a Wilson 95% interval.
 
     Parameters
@@ -476,34 +482,19 @@ def fer_experiment(
     trials : int
         Number of (message, encode, transmit, decode) rounds.
     rng : numpy.random.Generator
-        Root generator; spawned into one child stream per worker.
-    workers : int
-        Stream-partition count.  Part of the reproducibility key: identical
-        (seed, workers) gives identical counts regardless of internal batching,
-        because decoding consumes no randomness.
-    batch : int
-        Words decoded per recursion pass; affects memory only.
+        Root generator.  Trials run in chunks of ``_CHUNK``; chunk i draws
+        its messages and channel noise from ``rng.spawn(n_chunks)[i]``.  With
+        ``rng = default_rng(seed)`` the counts depend only on (seed, trials),
+        and a run's first chunks are the same words as those of any longer
+        run with the same seed.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
-    streams = rng.spawn(workers)
-    per = [trials // workers + (1 if i < trials % workers else 0) for i in range(workers)]
     info = code.info
     failures = 0
-    for wrng, tw in zip(streams, per):
-        if tw == 0:
-            continue
-        messages = wrng.integers(0, code.q, size=(tw, len(info)))
-        y = sample_outputs(channel, encode(code, messages), wrng)
-        for lo in range(0, tw, batch):
-            hi = min(lo + batch, tw)
-            u_hat, _ = _decode_batch(code, y[lo:hi], channel)
-            bad = np.any(u_hat[:, info] != messages[lo:hi], axis=1)
-            failures += int(bad.sum())
+    for crng, size in _trial_chunks(rng, trials):
+        messages = crng.integers(0, code.q, size=(size, len(info)))
+        y = sample_outputs(channel, encode(code, messages), crng)
+        u_hat, _ = _decode_batch(code, y, channel)
+        failures += int(np.any(u_hat[:, info] != messages, axis=1).sum())
     fer = failures / trials
     lo, hi = _wilson(failures, trials)
     return FerResult(failures, trials, fer, lo, hi)

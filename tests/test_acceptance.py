@@ -261,7 +261,7 @@ def test_criterion_10_codec_correctness():
 def test_criterion_11_cli_reproducibility(tmp_path):
     args = [
         "simulate", "--kernel", "arikan", "--channel", "erasure:0.3",
-        "--t", "6", "--rate", "0.6", "--trials", "400", "--seed", "11", "--workers", "2",
+        "--t", "6", "--rate", "0.6", "--trials", "400", "--seed", "11",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(a)]) == 0

@@ -102,6 +102,19 @@ def test_simulate_reproducible(tmp_path):
     assert a.read_bytes() != different.read_bytes()
 
 
+def test_simulate_has_no_workers_option(tmp_path, capsys):
+    args = [
+        "simulate", "--kernel", "arikan", "--channel", "erasure:0.3",
+        "--t", "4", "--rate", "0.5", "--trials", "10", "--seed", "1",
+    ]
+    assert run_cli(args + ["--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    out = tmp_path / "sim.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    spec = json.loads(out.read_text().splitlines()[1].removeprefix("# spec: "))
+    assert "workers" not in spec and spec["trials"] == 10 and spec["seed"] == 1
+
+
 def test_simulate_csv_columns(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli([
@@ -172,6 +185,17 @@ def test_validation_error_exit_2(capsys):
 def test_out_of_range_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exponents_b_min_checked_before_computation(monkeypatch, capsys):
+    from polarkit import entropy
+
+    def never(*args, **kwargs):
+        pytest.fail("polarization_exponents ran on an invalid --b-min")
+
+    monkeypatch.setattr(entropy, "polarization_exponents", never)
+    assert run_cli(["exponents", "--b-min", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: --b-min must be finite")
 
 
 def test_kernel_resolution_variants(tmp_path):

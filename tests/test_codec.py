@@ -139,18 +139,17 @@ def word_major(pi):
     return pi.transpose(2, 1, 0)
 
 
-def oracle_genie_error_rates(kernel, channel, t, trials, rng, batch=1024):
+def oracle_genie_error_rates(kernel, channel, t, trials, rng):
     n = kernel.rows**t
     engine = _ScEngine(kernel)
     inv = FqMatrix(kernel.q, engine.kernel_inv)
-    u = rng.integers(0, kernel.q, size=(trials, n))
-    x = tensor_apply(inv, t, u)
-    y = sample_outputs(channel, x, rng)
     err_total = np.zeros(n)
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        pi = word_major(_channel_posteriors(channel, y[lo:hi]))
-        _, errors, _ = engine.run(pi, t, genie=u[lo:hi])
+    # chunk i of 1024 trials draws its data and noise from child stream i
+    sizes = [min(1024, trials - lo) for lo in range(0, trials, 1024)]
+    for crng, size in zip(rng.spawn(len(sizes)), sizes):
+        u = crng.integers(0, kernel.q, size=(size, n))
+        y = sample_outputs(channel, tensor_apply(inv, t, u), crng)
+        _, errors, _ = engine.run(word_major(_channel_posteriors(channel, y)), t, genie=u)
         err_total += errors.sum(axis=0)
     return err_total / trials
 
@@ -362,22 +361,45 @@ def test_fer_respects_union_bound():
 def test_fer_reproducible_and_worker_streams():
     ch = make_erasure(2, 0.3)
     code = construct_code(ARIKAN, ch, 5, rate=0.5, rng=np.random.default_rng(61))
-    a = fer_experiment(code, ch, 600, np.random.default_rng(67), workers=3)
-    b = fer_experiment(code, ch, 600, np.random.default_rng(67), workers=3)
-    assert a == b
-    c = fer_experiment(code, ch, 600, np.random.default_rng(67), workers=2)
-    assert c.trials == 600  # different stream split, same contract
+    a = fer_experiment(code, ch, 2500, np.random.default_rng(67))
+    assert a == fer_experiment(code, ch, 2500, np.random.default_rng(67))
+    # three chunks of 1024, 1024 and 452 trials, each from its own child stream
+    per_chunk = []
+    for crng, size in zip(np.random.default_rng(67).spawn(3), (1024, 1024, 452)):
+        msgs = crng.integers(0, 2, size=(size, len(code.info)))
+        y = sample_outputs(ch, encode(code, msgs), crng)
+        per_chunk.append(sum(not np.array_equal(sc_decode(code, w).message, m) for w, m in zip(y, msgs)))
+    assert a.failures == sum(per_chunk) and a.trials == 2500
+    # a shorter run decodes the same first words as a longer one
+    assert fer_experiment(code, ch, 1024, np.random.default_rng(67)).failures == per_chunk[0]
+    assert fer_experiment(code, ch, 2048, np.random.default_rng(67)).failures == sum(per_chunk[:2])
 
 
-@pytest.mark.parametrize("batch", [0, -1])
-def test_nonpositive_batch_rejected(batch):
-    # range(0, trials, batch) would run no decode at all and report zeros
+@pytest.mark.parametrize("trials", [0, -1])
+def test_nonpositive_trials_rejected(trials):
+    # no chunk would run, and the rates would divide by zero trials
     ch = make_erasure(2, 0.5)
     code = construct_code(ARIKAN, ch, 4, rate=0.9, frozen_zero=True)
-    with pytest.raises(ValueError, match="batch"):
-        fer_experiment(code, ch, 100, np.random.default_rng(0), batch=batch)
-    with pytest.raises(ValueError, match="batch"):
-        genie_error_rates(ARIKAN, ch, 4, 100, np.random.default_rng(0), batch=batch)
+    with pytest.raises(ValueError, match="trial"):
+        fer_experiment(code, ch, trials, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="trial"):
+        genie_error_rates(ARIKAN, ch, 4, trials, np.random.default_rng(0))
+
+
+def test_genie_rejects_negative_depth():
+    with pytest.raises(ValueError, match="tensor depth must be nonnegative"):
+        genie_error_rates(ARIKAN, make_qsc(2, 0.1), -1, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_sc_decode_rejects_symbols_outside_alphabet(bad):
+    # -1 would index the erasure label and 3 lies past erasure(2)'s outputs
+    ch = make_erasure(2, 0.3)
+    code = construct_code(ARIKAN, ch, 3, rate=0.5, frozen_zero=True)
+    y = encode(code, np.zeros(len(code.info), dtype=np.int64))
+    y[5] = bad
+    with pytest.raises(ValueError, match=r"received symbols must lie in \[0, 3\)"):
+        sc_decode(code, y)
 
 
 def test_wilson_interval_sane():
@@ -498,22 +520,39 @@ def test_sc_matches_reference_recursion(name, kind):
     assert np.array_equal(err, ref_err)
     assert np.max(np.abs(post - ref_post)) <= 1e-12
 
-    rates = genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
-    ref_rates = oracle_genie_error_rates(kernel, ch, t, 300, np.random.default_rng(37), batch=128)
+    # arikan runs two chunks (1024 + 76 trials), compared bit for bit
+    trials = 1100 if name == "arikan" else 300
+    rates = genie_error_rates(kernel, ch, t, trials, np.random.default_rng(37))
+    ref_rates = oracle_genie_error_rates(kernel, ch, t, trials, np.random.default_rng(37))
     assert np.array_equal(rates, ref_rates)
 
 
 @pytest.mark.parametrize("name", ["hamming7", "f3", "f2x4", "f11"])
 def test_genie_rates_do_not_depend_on_batch(name):
-    # the batch size sets the row length of every node's sums (down to one
-    # value at batch 1), never a decision
+    # the number of words decoded together sets the row length of every
+    # node's sums (down to one value per word), never a decision
     kernel, t = _reference_kernel(name)
-    ch = make_qsc(kernel.q, 0.08)
-    rates = [
-        genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53), **kw)
-        for kw in ({"batch": 1}, {"batch": 7}, {})
-    ]
-    assert np.array_equal(rates[0], rates[1]) and np.array_equal(rates[0], rates[2])
+    n, ch = kernel.rows**t, make_qsc(kernel.q, 0.08)
+    rng = np.random.default_rng(53).spawn(1)[0]
+    u = rng.integers(0, kernel.q, size=(150, n))
+    pi = _channel_posteriors(ch, sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng))
+    tie = 1e-12 * np.arange(kernel.q)
+
+    def genie_errors(width):
+        errors = np.zeros((len(u), n), dtype=bool)
+        for lo in range(0, len(u), width):
+            truth = u[lo:lo + width]
+
+            def leaf(i, p):
+                errors[lo:lo + width, i] = np.argmax(p - tie, axis=1) != truth[:, i]
+                return truth[:, i]
+
+            _sc(kernel, pi[:, :, lo:lo + width], t, leaf)
+        return errors
+
+    whole = genie_errors(len(u))
+    assert np.array_equal(genie_errors(1), whole) and np.array_equal(genie_errors(7), whole)
+    assert np.array_equal(whole.mean(axis=0), genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53)))
 
 
 def test_near_ties_go_to_the_smaller_symbol():
