@@ -45,10 +45,10 @@ def single_word_walkthrough():
     x = encode(code, msg)
     y = x.copy()
     y[2] = ch.erasure_symbol  # erase one position by hand
-    res = sc_decode(code, y, true_message=msg)
+    res = sc_decode(code, y)
     print("\nsingle word: message", msg.tolist(), "codeword", x.tolist())
     print("received with one erasure:", y.tolist())
-    print("decoded:", res.message.tolist(), "success:", res.success)
+    print("decoded:", res.message.tolist(), "success:", np.array_equal(res.message, msg))
 
 
 def main():

@@ -14,7 +14,7 @@ F_q whose Kronecker powers drive channel polarization.  Modules:
 
 __version__ = "0.1.0"
 
-from .fqlin import FieldModulus, FqMatrix, field_inverse, kron, tensor_apply
+from .fqlin import FqMatrix, field_inverse, kron, tensor_apply
 from .channels import Channel, make_erasure, make_qsc, capacity
 from .entropy import SymbolJoint, cond_entropy, polar_entropies
 from .polarlab import erasure_polynomials, evolve_tree, polarization_report
@@ -23,7 +23,6 @@ from .codec import PolarCode, construct_code, encode, sc_decode, fer_experiment
 
 __all__ = [
     "__version__",
-    "FieldModulus",
     "FqMatrix",
     "field_inverse",
     "kron",

@@ -3,10 +3,10 @@
 A channel over F_q is a row-stochastic table w[x, y] = P(output y | input x)
 with outputs labelled 0..m-1.  Symmetry here means: for every input pair
 (a, b) there is an output bijection carrying the conditional distribution of
-one onto the other, and all output columns have equal total weight.  The
-public constructors (q-ary symmetric and erasure) produce symmetric channels
-by construction; an arbitrary table can be wrapped with the symmetry check
-disabled so that non-symmetric tables can still be diagnosed.
+one onto the other.  The public constructors (q-ary symmetric and erasure)
+produce symmetric channels by construction, and ``make_table_channel``
+checks an arbitrary table; a non-symmetric table can still be wrapped as a
+plain ``Channel`` for diagnosis.
 """
 
 from __future__ import annotations
@@ -107,17 +107,12 @@ def make_erasure(q, z: float) -> Channel:
     return Channel(q, w, kind="erasure", param=z)
 
 
-def make_table_channel(q, w, require_symmetric: bool = True) -> Channel:
-    """Wrap an explicit transition table.
-
-    By default the symmetry invariant is enforced; pass
-    ``require_symmetric=False`` to wrap a table for diagnosis only.
-    """
+def make_table_channel(q, w) -> Channel:
+    """Wrap an explicit transition table, which must be symmetric."""
     c = Channel(q, w, kind="general")
-    if require_symmetric:
-        cert = validate_symmetric(c)
-        if not cert.ok:
-            raise ValueError(f"table is not symmetric: {cert.reason}")
+    cert = validate_symmetric(c)
+    if not cert.ok:
+        raise ValueError(f"table is not symmetric: {cert.reason}")
     return c
 
 
@@ -127,17 +122,13 @@ class SymmetryCertificate:
 
     On success ``bijections[(a, b)]`` holds sigma with w[y|a] = w[sigma(y)|b]
     for every output y.  On failure ``violation`` names an offending input
-    pair and ``reason`` says why.  ``column_sums_equal`` reports the stricter
-    all-outputs sum equality as a diagnostic; it is not part of the verdict
-    because an erasure output, fed equally by every input, breaks it while
-    leaving the channel perfectly input-symmetric.
+    pair and ``reason`` says why.
     """
 
     ok: bool
     bijections: dict | None = None
     violation: tuple | None = None
     reason: str = ""
-    column_sums_equal: bool = True
 
     def __bool__(self):
         return self.ok
@@ -151,12 +142,12 @@ def validate_symmetric(c: Channel) -> SymmetryCertificate:
     probability; ties are matched in index order, which is harmless because
     tied entries are interchangeable.  Every candidate is then verified entry
     by entry, so a returned certificate is sound regardless of how ties were
-    broken.  The verdict is the existence of all q^2 bijections; the global
-    column-sum equality is recorded separately (see SymmetryCertificate).
+    broken.  The verdict is the existence of all q^2 bijections.  Equal
+    column sums over all outputs are not required: an erasure output, fed
+    equally by every input, breaks them while leaving the channel perfectly
+    input-symmetric.
     """
     w = c.w
-    col_sums = w.sum(axis=0)
-    sums_equal = bool(np.all(np.abs(col_sums - col_sums.mean()) <= 1e-9))
     orders = [np.argsort(w[x], kind="stable") for x in range(c.q)]
     bijections = {}
     for a in range(c.q):
@@ -168,10 +159,9 @@ def validate_symmetric(c: Channel) -> SymmetryCertificate:
                     ok=False,
                     violation=(a, b),
                     reason=f"no output bijection matches inputs {a} and {b}",
-                    column_sums_equal=sums_equal,
                 )
             bijections[(a, b)] = sigma
-    return SymmetryCertificate(ok=True, bijections=bijections, column_sums_equal=sums_equal)
+    return SymmetryCertificate(ok=True, bijections=bijections)
 
 
 def capacity(c: Channel) -> float:

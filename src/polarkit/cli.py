@@ -136,10 +136,6 @@ def cmd_exponents(args) -> int:
     rep = entropy.polarization_exponents(m, entropy.erasure_family(m.q), deltas)
     eta, b = rep.suction_pair(args.b_min)
     payload = rep.to_dict()
-    payload["profiles"] = [
-        {"delta": float(d), "h": [float(x) for x in row], "sum": float(row.sum())}
-        for d, row in zip(rep.deltas, rep.profiles)
-    ]
     payload["suction"] = {"eta": eta, "b": b, "b_min": args.b_min}
     spec = _spec_dict(args, ["kernel", "q", "deltas", "b_min"])
     _emit_json(payload, spec, args.out)
@@ -188,7 +184,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    m = resolve_kernel(args.kernel, args.q) if args.kernel else FqMatrix.from_dict(json.loads(args.matrix))
+    m = resolve_kernel(args.kernel, args.q)
     cols = args.cols if args.cols is not None else m.cols
     if not 0 <= cols <= m.cols:
         raise ValueError(f"--cols must lie in [0, {m.cols}], got {cols}")
@@ -202,7 +198,7 @@ def cmd_distance(args) -> int:
             "lower_bound": ml.lower_bound,
             "bound_ok": ml.bound_ok,
         }
-    spec = _spec_dict(args, ["kernel", "matrix", "q", "cols", "ml_eps"])
+    spec = _spec_dict(args, ["kernel", "q", "cols", "ml_eps"])
     _emit_json(payload, spec, args.out)
     print(f"distance: {payload['distance']} over first {cols} columns", file=sys.stderr)
     return 0
@@ -277,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("distance", help="left-kernel distance of a column block")
     common(sp)
-    sp.add_argument("--matrix", default=None, help="inline JSON matrix (alternative to --kernel)")
     sp.add_argument("--cols", type=int, default=None)
     sp.add_argument("--ml-eps", type=float, default=None)
     sp.set_defaults(func=cmd_distance)

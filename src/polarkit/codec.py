@@ -26,11 +26,11 @@ every sum over them runs over sub * B contiguous values, and the leaf reads
 its (B, q) posteriors as a view.
 
 Decoding skips two kinds of subtree whose output is known exactly (genie
-profiling and ``keep_posteriors`` keep the full recursion).  An all-frozen
-subtree returns its own codeword, the depth-l transform of its frozen values,
-cached per code.  An all-information subtree returns the hard decisions
-argmax pi of its inputs when eta, the sum over its input positions of
-1 - max_x pi(x), is below 1/4 for every word of the batch.  Proof sketch, for
+profiling keeps the full recursion).  An all-frozen subtree returns its own
+codeword, the depth-l transform of its frozen values, cached per code.  An
+all-information subtree returns the hard decisions argmax pi of its inputs
+when eta, the sum over its input positions of 1 - max_x pi(x), is below 1/4
+for every word of the batch.  Proof sketch, for
 any kernel over any F_q: at a node the hard-decision child word c* has weight
 prod_s pi_s(c*_s) >= 1 - sum_s eta_s, and conditioning on decisions that agree
 with v* = c*M only renormalises, so every child input is at least that sure of
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Channel, sample_outputs, validate_symmetric
-from .fqlin import FqMatrix, enumeration_budget, qary_words, tensor_apply
+from .fqlin import FqMatrix, check_budget, qary_words, tensor_apply
 from .polarlab import evolve_tree
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "genie_error_rates",
 ]
 
-DEFAULT_CODE_BUDGET = 10**6
 # trials per Monte Carlo chunk: one random stream and one SC recursion each
 _CHUNK = 1024
 # a decision takes the smallest symbol within this much of the top posterior:
@@ -134,12 +133,10 @@ class PolarCode:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """SC output: information-symbol estimates plus optional extras."""
+    """SC output: information-symbol estimates and the full u-domain estimate."""
 
     message: np.ndarray
     u_hat: np.ndarray
-    posteriors: np.ndarray | None = None
-    success: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,12 @@ class FerResult:
 class _ScPlan(NamedTuple):
     """Per-code SC data, reused by every decode of the code.
 
-    ``frozen_values`` spans all N indices (zero at information ones).
     ``rate0`` maps each maximal all-frozen subtree (level, base) to its local
-    codeword; ``rate1`` holds the maximal all-information subtrees above the
-    leaves.
+    codeword, so every frozen index, a one-index subtree at least, is
+    answered there and never reaches the leaf; ``rate1`` holds the maximal
+    all-information subtrees above the leaves.
     """
 
-    frozen_mask: np.ndarray
-    frozen_values: np.ndarray
     rate0: dict
     rate1: frozenset
 
@@ -192,9 +187,7 @@ class _ScPlan(NamedTuple):
                     visit(level - 1, base + a * k ** (level - 1))
 
         visit(code.t, 0)
-        mask.flags.writeable = False
-        values.flags.writeable = False
-        return cls(mask, values, rate0, frozenset(rate1))
+        return cls(rate0, frozenset(rate1))
 
 
 @lru_cache(maxsize=32)
@@ -288,6 +281,11 @@ def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
     return pi / total
 
 
+def _check_field(q: int, channel: Channel):
+    if channel.q != q:
+        raise ValueError(f"the kernel is over F_{q} but the channel is over F_{channel.q}")
+
+
 def construct_code(
     kernel: FqMatrix,
     channel: Channel,
@@ -297,7 +295,6 @@ def construct_code(
     rng: np.random.Generator | None = None,
     genie_trials: int = 10_000,
     frozen_zero: bool = False,
-    budget=None,
 ) -> PolarCode:
     """Choose the frozen set from per-index reliability estimates.
 
@@ -307,25 +304,27 @@ def construct_code(
     record per-index decision-error frequencies).  Exactly one of ``rate`` and
     ``threshold`` selects the frozen block: the |F| highest estimates, or all
     indices whose estimate exceeds the threshold.  Frozen values default to a
-    uniform random affine shift; ``frozen_zero`` pins them to zero.
+    uniform random affine shift; ``frozen_zero`` pins them to zero.  The
+    block length is capped by a budget of 10^6 (BudgetExceeded beyond it).
     """
+    _check_field(kernel.q, channel)
     cert = validate_symmetric(channel)
     if not cert.ok:
         raise ValueError(f"code construction requires a symmetric channel: {cert.reason}")
     if t < 0:
         raise ValueError("tensor depth must be nonnegative")
     n = kernel.rows**t
-    budget = enumeration_budget(DEFAULT_CODE_BUDGET) if budget is None else budget
-    if n > budget:
-        raise ValueError(f"block length budget exceeded: {n} > {budget}")
+    check_budget("block length", n, 10**6)
     if (rate is None) == (threshold is None):
         raise ValueError("give exactly one of rate or threshold")
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
     if threshold is not None and not math.isfinite(threshold):
         # estimates > nan is all False: a NaN threshold would freeze nothing
         raise ValueError(f"threshold must be finite; got {threshold}")
 
     if channel.kind == "erasure":
-        estimates = evolve_tree(kernel, channel.param, t, budget=budget).values.copy()
+        estimates = evolve_tree(kernel, channel.param, t).values.copy()
         method = "exact-erasure-tree"
     else:
         if rng is None:
@@ -334,8 +333,6 @@ def construct_code(
         method = f"genie-mc-{genie_trials}"
 
     if rate is not None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must lie in [0, 1]")
         n_info = int(round(rate * n))
         order = np.argsort(estimates, kind="stable")
         frozen = np.sort(order[n_info:])
@@ -369,60 +366,46 @@ def encode(code: PolarCode, message) -> np.ndarray:
     return tensor_apply(_v_table(code.kernel)[2], code.t, u)
 
 
-def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel, keep_posteriors=False):
-    pi = _channel_posteriors(channel, y)
-    plan = code._sc_plan
-    posteriors = np.zeros(pi.shape[::-1]) if keep_posteriors else None
+def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarray:
+    """(B, N) decisions u of (B, N) received words, through the pruned plan.
+
+    The plan answers every frozen index, so the leaf decides information
+    indices only.
+    """
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
-        if posteriors is not None:
-            posteriors[:, i] = p
-        if plan.frozen_mask[i]:
-            return np.full(len(p), plan.frozen_values[i])
         return np.argmax(p - tie, axis=1)
 
-    # posteriors are kept for every index, so they need the full recursion
-    x_hat = _sc(code.kernel, pi, code.t, leaf, None if keep_posteriors else plan)
-    return tensor_apply(code.kernel, code.t, x_hat.T), posteriors
+    x_hat = _sc(code.kernel, _channel_posteriors(channel, y), code.t, leaf, code._sc_plan)
+    return tensor_apply(code.kernel, code.t, x_hat.T)
 
 
-def sc_decode(code: PolarCode, y, channel: Channel | None = None,
-              keep_posteriors: bool = False, true_message=None) -> DecodeResult:
-    """Successive-cancellation decode of one received word.
+def sc_decode(code: PolarCode, y) -> DecodeResult:
+    """Successive-cancellation decode of one word received over ``code.channel``.
 
     Parameters
     ----------
     code : PolarCode
-        Code whose frozen positions and values steer the decisions.
+        Code whose frozen positions and values steer the decisions, and
+        whose channel table converts y into posteriors.
     y : array-like of int, length N
         Received word over the channel's output alphabet.
-    channel : Channel, optional
-        Channel whose table converts y into posteriors; defaults to the
-        construction channel.
-    keep_posteriors : bool
-        Retain the per-index decision posteriors in the result.
-    true_message : array-like of int, optional
-        When given, the result carries a success flag against it.
 
     Returns
     -------
     DecodeResult
-        Information-symbol estimates in lexicographic index order, the full
-        u-domain estimate, and the optional extras above.
+        Information-symbol estimates in lexicographic index order and the
+        full u-domain estimate.
     """
-    channel = channel or code.channel
+    outputs = code.channel.outputs
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (code.block_length,):
         raise ValueError(f"received word must have length {code.block_length}")
-    if np.any((y < 0) | (y >= channel.outputs)):
-        raise ValueError(f"received symbols must lie in [0, {channel.outputs})")
-    u_hat, posteriors = _decode_batch(code, y[None, :], channel, keep_posteriors)
-    message = u_hat[0][code.info]
-    success = None
-    if true_message is not None:
-        success = bool(np.array_equal(message, np.asarray(true_message) % code.q))
-    return DecodeResult(message, u_hat[0], None if posteriors is None else posteriors[0], success)
+    if np.any((y < 0) | (y >= outputs)):
+        raise ValueError(f"received symbols must lie in [0, {outputs})")
+    u_hat = _decode_batch(code, y[None, :], code.channel)[0]
+    return DecodeResult(u_hat[code.info], u_hat)
 
 
 def genie_error_rates(
@@ -488,12 +471,13 @@ def fer_experiment(code: PolarCode, channel: Channel, trials: int, rng: np.rando
         and a run's first chunks are the same words as those of any longer
         run with the same seed.
     """
+    _check_field(code.q, channel)
     info = code.info
     failures = 0
     for crng, size in _trial_chunks(rng, trials):
         messages = crng.integers(0, code.q, size=(size, len(info)))
         y = sample_outputs(channel, encode(code, messages), crng)
-        u_hat, _ = _decode_batch(code, y, channel)
+        u_hat = _decode_batch(code, y, channel)
         failures += int(np.any(u_hat[:, info] != messages, axis=1).sum())
     fer = failures / trials
     lo, hi = _wilson(failures, trials)

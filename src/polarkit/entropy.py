@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fqlin import FqMatrix, _as_modulus, enumeration_budget, qary_words
+from .fqlin import FqMatrix, _as_modulus, check_budget, qary_words
 
 __all__ = [
     "SymbolJoint",
@@ -35,8 +35,6 @@ __all__ = [
     "erasure_family",
     "channel_joint",
 ]
-
-DEFAULT_STATE_BUDGET = 10**7
 
 
 class SymbolJoint:
@@ -155,13 +153,13 @@ def _level_entropy_nats(block: np.ndarray, t: np.ndarray) -> float:
     return nats - float(np.sum(mode * np.log1p(-frac)))
 
 
-def polar_entropies(m: FqMatrix, joint: SymbolJoint, budget=None) -> EntropyProfile:
+def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
     """Exact entropy profile of the transform u -> uM under i.i.d. ``joint`` pairs.
 
-    Enumerates all (q*m)^k states once; the default budget of 1e7 states can
-    be overridden per call or via POLARLAB_BUDGET.  The product weights
-    W[u, a] are built by broadcasting, and since u -> uM is a bijection the
-    exact law P[v, a] is W with its rows gathered into v order.  Summing out
+    Enumerates all (q*m)^k states once, within a budget of 1e7 states
+    (POLARLAB_BUDGET when set).  The product weights W[u, a] are built by
+    broadcasting, and since u -> uM is a bijection the exact law P[v, a] is
+    W with its rows gathered into v order.  Summing out
     the last v digit of the prefix law P[v_<=j, a] gives P[v_<j, a], and
     h[j] is read off the same block directly as the weighted conditional
     entropy of v_j given (v_<j, a), with no difference of large entropies,
@@ -180,11 +178,7 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint, budget=None) -> EntropyProf
         raise ValueError("singular kernel") from None
     k = m.rows
     q = m.q
-    ma = joint.m
-    budget = enumeration_budget(DEFAULT_STATE_BUDGET) if budget is None else budget
-    n_states = (q * ma) ** k
-    if n_states > budget:
-        raise ValueError(f"enumeration budget exceeded: {n_states} states > {budget}")
+    check_budget("entropy state", (q * joint.m) ** k, 10**7)
 
     p = joint.p
     law = p
@@ -267,14 +261,13 @@ class ExponentReport:
     """Per-index decay exponents fitted on a delta grid.
 
     ``exponents[j]`` is the least-squares slope of log h[j](delta) against
-    log delta over the ``fit_points`` smallest grid values; +inf marks indices
+    log delta over the _FIT_POINTS smallest grid values; +inf marks indices
     whose entropy vanished exactly.
     """
 
     deltas: np.ndarray
     profiles: np.ndarray
     exponents: np.ndarray
-    fit_points: int = 3
 
     def fraction_at_least(self, b: float) -> float:
         """Fraction of indices with fitted exponent >= b."""
@@ -294,21 +287,26 @@ class ExponentReport:
     def to_dict(self) -> dict:
         return {
             "deltas": [float(d) for d in self.deltas],
-            "profiles": [[float(x) for x in row] for row in self.profiles],
+            "profiles": [
+                {"delta": float(d), "h": [float(x) for x in row], "sum": float(row.sum())}
+                for d, row in zip(self.deltas, self.profiles)
+            ],
             "per_index_exponents": [
                 "inf" if math.isinf(e) else float(e) for e in self.exponents
             ],
         }
 
 
-def polarization_exponents(
-    m: FqMatrix, family, deltas, fit_points: int = 3, budget=None
-) -> ExponentReport:
+#: Grid points, smallest first, that polarization_exponents fits.
+_FIT_POINTS = 3
+
+
+def polarization_exponents(m: FqMatrix, family, deltas) -> ExponentReport:
     """Fit per-index decay exponents h[j](delta) ~ delta^b over a delta grid.
 
     ``family`` maps delta to a SymbolJoint and must be calibrated so that
     H(U|A) = delta to 1e-9 (the erasure family is).  The fit uses the
-    ``fit_points`` smallest deltas, where constant contamination is weakest.
+    _FIT_POINTS smallest deltas, where constant contamination is weakest.
     """
     deltas = np.sort(np.asarray(deltas, dtype=np.float64))
     if deltas.size < 3:
@@ -320,15 +318,15 @@ def polarization_exponents(
         joint = family(d)
         if abs(cond_entropy(joint) - d) > 1e-9:
             raise ValueError(f"family is miscalibrated at delta={d}")
-        profiles.append(polar_entropies(m, joint, budget=budget).h)
+        profiles.append(polar_entropies(m, joint).h)
     profiles = np.array(profiles)
     k = m.rows
-    logd = np.log(deltas[:fit_points])
+    logd = np.log(deltas[:_FIT_POINTS])
     exponents = np.empty(k)
     for j in range(k):
-        hj = profiles[:fit_points, j]
+        hj = profiles[:_FIT_POINTS, j]
         if np.any(hj <= 0):
             exponents[j] = math.inf
         else:
             exponents[j] = np.polyfit(logd, np.log(hj), 1)[0]
-    return ExponentReport(deltas, profiles, exponents, fit_points)
+    return ExponentReport(deltas, profiles, exponents)

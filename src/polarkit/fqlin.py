@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FieldModulus",
     "FqMatrix",
     "PluDecomposition",
     "field_inverse",
@@ -29,24 +28,40 @@ __all__ = [
     "tensor_apply",
     "plu_decompose",
     "row_echelon",
-    "enumeration_budget",
+    "check_budget",
     "BudgetExceeded",
     "min_weight_search",
 ]
 
-#: Environment variable that overrides all enumeration budgets in the package.
+#: Environment variable that sets the limit of every enumeration in the package.
 BUDGET_ENV = "POLARLAB_BUDGET"
 
 #: Default cap on the candidates one min_weight_search may enumerate.
 DEFAULT_SEARCH_BUDGET = 10**7
 
 
-def enumeration_budget(default: int) -> int:
-    """Effective enumeration budget: POLARLAB_BUDGET if set, else ``default``."""
+class BudgetExceeded(ValueError):
+    """An enumeration was refused before it started: it would exceed its budget."""
+
+
+def check_budget(what: str, cost: int, default: int):
+    """Refuse an enumeration of ``cost`` items above its limit (BudgetExceeded).
+
+    The limit is POLARLAB_BUDGET when that is set, else ``default``.  Every
+    enumeration in the package is checked here before it starts, and this is
+    the only reader of POLARLAB_BUDGET.
+    """
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return default
-    return int(raw)
+    limit = default
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0  # rejected below with the nonpositive ones
+        if limit < 1:
+            raise ValueError(f"{BUDGET_ENV} must be a positive integer; got {raw!r}")
+    if cost > limit:
+        raise BudgetExceeded(f"{what} budget exceeded: {cost} > {limit}")
 
 
 def is_prime(n: int) -> bool:
@@ -61,20 +76,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldModulus:
-    """A prime modulus q.  Construction rejects composites."""
-
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
-
-
 def _as_modulus(q) -> int:
-    if isinstance(q, FieldModulus):
-        return q.q
     q = int(q)
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
@@ -241,10 +243,6 @@ def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None
     return a, pivots
 
 
-class BudgetExceeded(ValueError):
-    """An enumeration was refused before it started: it would exceed its budget."""
-
-
 def min_weight_search(a: FqMatrix, classes=None, budget=None):
     """Least Hamming weight of nonzero y in each lead class of yA, exactly.
 
@@ -270,17 +268,16 @@ def min_weight_search(a: FqMatrix, classes=None, budget=None):
       the first layer in which all of them have appeared;
     - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each.
 
-    w minimises the candidate count of the whole plan, and that count is
-    checked against the budget before anything is enumerated
-    (BudgetExceeded beyond it).  Both enumerations add two
-    precomputed sets of vectors pairwise, _SEARCH_CHUNK candidates or so per
-    numpy step, so memory stays bounded whatever the count.
+    w minimises the candidate count of the whole plan, and ``check_budget``
+    refuses that count before anything is enumerated; ``budget`` is its
+    default limit (10^7 when None).  Both enumerations add two precomputed
+    sets of vectors pairwise, _SEARCH_CHUNK candidates or so per numpy step,
+    so memory stays bounded whatever the count.
     """
     q, k, n = a.q, a.rows, a.cols
     classes = np.arange(n + 1) if classes is None else np.asarray(list(classes), dtype=np.int64)
     if classes.size and not 0 <= classes.min() <= classes.max() <= n:
         raise ValueError(f"lead classes must lie in [0, {n}]")
-    budget = enumeration_budget(DEFAULT_SEARCH_BUDGET) if budget is None else budget
     ech, pivots = row_echelon(np.hstack([a.arr, np.eye(k, dtype=np.int64)]), q, max_pivot_col=n)
     basis = ech[:, n:]
     row_class = np.array(pivots + [n] * (k - len(pivots)), dtype=np.int64)
@@ -292,8 +289,7 @@ def min_weight_search(a: FqMatrix, classes=None, budget=None):
             coset_cost[c] = coset_cost.get(c, 0) + q ** (k - 1 - i)
 
     depth, cost = _plan(bound, coset_cost, k, q)
-    if cost > budget:
-        raise BudgetExceeded(f"minimum-weight search budget exceeded: {cost} > {budget}")
+    check_budget("minimum-weight search", cost, DEFAULT_SEARCH_BUDGET if budget is None else budget)
 
     # limit[c] is k + 1 while a wanted class is unseen, then its least weight
     # so far; it is 0 for the other classes, which filters them out for free

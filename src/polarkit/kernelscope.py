@@ -24,13 +24,14 @@ from .fqlin import (
     BudgetExceeded,
     FqMatrix,
     _as_modulus,
-    enumeration_budget,
+    check_budget,
     field_inverse,
     kron,
     kron_power,
     min_weight_search,
     plu_decompose,
     qary_words,
+    row_echelon,
 )
 
 __all__ = [
@@ -52,7 +53,13 @@ __all__ = [
     "kernel_report",
 ]
 
-DEFAULT_ML_BUDGET = 10**6
+#: Random draws per trial size of the high-distance construction, and
+#: perturbations of its completion before it gives up.
+_ATTEMPTS = 2000
+#: extract_high_distance_columns searches every subset of at most this many
+#: columns, and at most _EXHAUSTIVE_SUBSETS subsets; greedily otherwise.
+_EXHAUSTIVE_COLUMNS = 16
+_EXHAUSTIVE_SUBSETS = 200_000
 
 
 def is_mixing(m: FqMatrix) -> bool:
@@ -211,16 +218,16 @@ def tensor_witness(w: ContainmentWitness) -> ContainmentWitness:
     )
 
 
-def left_kernel_distance(m0: FqMatrix, budget=None):
+def left_kernel_distance(m0: FqMatrix):
     """Minimum Hamming weight over nonzero u with u @ m0 = 0.
 
     Returns math.inf when the left kernel is trivial.  This is lead class
     n = m0.cols of ``fqlin.min_weight_search``, which enumerates either the
     kernel through its basis or all u by increasing weight, whichever is
-    cheaper; the budget caps that cheaper candidate count and is checked
-    before any enumeration (BudgetExceeded).
+    cheaper; the search budget caps that cheaper candidate count and is
+    checked before any enumeration (BudgetExceeded).
     """
-    (weight,), _ = min_weight_search(m0, [m0.cols], budget)
+    (weight,), _ = min_weight_search(m0, [m0.cols])
     return math.inf if weight == 0 else int(weight)
 
 
@@ -234,7 +241,7 @@ class MlFailure:
     bound_ok: bool
 
 
-def ml_failure_exact(p: FqMatrix, eps: float, budget=None) -> MlFailure:
+def ml_failure_exact(p: FqMatrix, eps: float) -> MlFailure:
     """Exact failure rate of min-weight decoding of u @ P under sparse noise.
 
     u has i.i.d. coordinates equal to 0 with probability 1-eps and uniform
@@ -243,16 +250,15 @@ def ml_failure_exact(p: FqMatrix, eps: float, budget=None) -> MlFailure:
     reported number an upper bound for any tie-breaking rule and preserves
     the lower-bound direction of the distance argument.  The companion bound
     is failure >= (eps/(q-1))^A with A the left-kernel distance of P, from
-    flipping the support of a minimum-weight kernel vector.
+    flipping the support of a minimum-weight kernel vector.  The q^k source
+    words are enumerated within a budget of 10^6 (BudgetExceeded beyond it).
     """
     eps = float(eps)
     if not 0.0 <= eps < 0.5:
         raise ValueError("noise rate must satisfy 0 <= eps < 1/2")
     q = p.q
     k = p.rows
-    budget = enumeration_budget(DEFAULT_ML_BUDGET) if budget is None else budget
-    if q**k > budget:
-        raise ValueError(f"source enumeration budget exceeded: {q**k} > {budget}")
+    check_budget("source enumeration", q**k, 10**6)
 
     all_u = qary_words(q, k)
     weights = np.count_nonzero(all_u, axis=1)
@@ -270,7 +276,7 @@ def ml_failure_exact(p: FqMatrix, eps: float, budget=None) -> MlFailure:
     probs = pz ** (k - weights[unique_winner]) * pnz ** weights[unique_winner]
     failure = float(1.0 - probs.sum())
 
-    dist = left_kernel_distance(p, budget=budget)
+    dist = left_kernel_distance(p)
     bound = 0.0 if math.isinf(dist) else pnz**dist
     return MlFailure(failure, bound, dist, failure >= bound - 1e-15)
 
@@ -347,26 +353,15 @@ def _gf2m_mul(a: int, b: int, m: int) -> int:
 
 
 def _complete_columns(m0_arr: np.ndarray, q: int) -> np.ndarray:
-    """Extend a k x s column block to an invertible k x k matrix greedily."""
-    k = m0_arr.shape[0]
-    cols = [m0_arr[:, i] for i in range(m0_arr.shape[1])]
+    """Extend a full-column-rank k x s block to an invertible k x k matrix.
 
-    def current_rank(cs):
-        if not cs:
-            return 0
-        return FqMatrix(q, np.column_stack(cs).T).rank()
-
-    rank = current_rank(cols)
-    for i in range(k):
-        if len(cols) == k:
-            break
-        cand = np.zeros(k, dtype=np.int64)
-        cand[i] = 1
-        new_rank = current_rank(cols + [cand])
-        if new_rank > rank:
-            cols.append(cand)
-            rank = new_rank
-    return np.column_stack(cols)
+    Appends the unit vectors e_i that are pivot columns of [M0 | I]: scanning
+    left to right, each raises the rank of the columns before it.
+    """
+    k, s = m0_arr.shape
+    eye = np.eye(k, dtype=np.int64)
+    _, pivots = row_echelon(np.hstack([m0_arr, eye]), q)
+    return np.hstack([m0_arr, eye[:, [p - s for p in pivots if p >= s]]])
 
 
 def random_mixing(q, k: int, rng: np.random.Generator) -> FqMatrix:
@@ -462,9 +457,7 @@ class BuiltKernel:
     report: KernelReport
 
 
-def build_high_distance_kernel(
-    q, k: int, b: int, rng: np.random.Generator | None = None, attempts: int = 2000
-) -> BuiltKernel:
+def build_high_distance_kernel(q, k: int, b: int, rng: np.random.Generator | None = None) -> BuiltKernel:
     """Mixing kernel [M0 | M1] whose leading block has left-kernel distance > 2b.
 
     Over F_2 the block comes from tabulated parity-check families (Hamming for
@@ -493,14 +486,14 @@ def build_high_distance_kernel(
         if not dist > 2 * b:
             raise ValueError(f"structured block missed its distance: got {dist}")
     else:
-        m0_arr = _search_block(q, k, b, rng, attempts)
+        m0_arr = _search_block(q, k, b, rng)
 
     s = m0_arr.shape[1]
     if s >= k:
         raise ValueError(f"block needs {s} columns, leaving no room in a {k}x{k} kernel")
     full = _complete_columns(m0_arr, q)
     m = FqMatrix(q, full)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         if is_mixing(m):
             break
         bmat = rng.integers(0, q, size=(s, k - s))
@@ -518,15 +511,15 @@ def build_high_distance_kernel(
     return BuiltKernel(m, s, distance, report)
 
 
-def _search_block(q: int, k: int, b: int, rng: np.random.Generator, attempts: int) -> np.ndarray:
+def _search_block(q: int, k: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """Randomized search for a k x s block with left-kernel distance > 2b."""
     best_dist = 0
     for s in range(max(2 * b, 1), k):
-        for _ in range(attempts):
+        for _ in range(_ATTEMPTS):
             cand = FqMatrix(q, rng.integers(0, q, size=(k, s)))
             try:
                 d = left_kernel_distance(cand)
-            except ValueError:
+            except BudgetExceeded:
                 break  # kernel too large to enumerate at this s
             if not math.isinf(d):
                 best_dist = max(best_dist, d)
@@ -545,16 +538,14 @@ class ColumnSearch:
     exhaustive: bool
 
 
-def extract_high_distance_columns(
-    m: FqMatrix, t0: int, s: int, exhaustive_limit: int = 16, subset_budget: int = 200_000
-) -> ColumnSearch:
+def extract_high_distance_columns(m: FqMatrix, t0: int, s: int) -> ColumnSearch:
     """Column subset of the t0-th tensor power maximizing left-kernel distance.
 
-    Exhaustive over all subsets when the power has at most ``exhaustive_limit``
-    columns and the subset count fits the budget; otherwise greedy add-one
-    search, flagged as non-exhaustive.  Ties prefer the lexicographically
-    first subset.  Also reports whether the column permutation putting the
-    chosen block first is mixing.
+    Exhaustive over all subsets when the power has at most
+    _EXHAUSTIVE_COLUMNS columns and at most _EXHAUSTIVE_SUBSETS subsets of
+    size s; otherwise greedy add-one search, flagged as non-exhaustive.
+    Ties prefer the lexicographically first subset.  Also reports whether
+    the column permutation putting the chosen block first is mixing.
     """
     mt = kron_power(m, t0)
     n = mt.rows
@@ -565,7 +556,7 @@ def extract_high_distance_columns(
     def block_distance(cols):
         return left_kernel_distance(FqMatrix(q, mt.arr[:, list(cols)]))
 
-    exhaustive = n <= exhaustive_limit and math.comb(n, s) <= subset_budget
+    exhaustive = n <= _EXHAUSTIVE_COLUMNS and math.comb(n, s) <= _EXHAUSTIVE_SUBSETS
     if exhaustive:
         best_cols, best_dist = None, -1.0
         for cols in itertools.combinations(range(n), s):

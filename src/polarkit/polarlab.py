@@ -28,7 +28,7 @@ from .fqlin import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceeded,
     FqMatrix,
-    enumeration_budget,
+    check_budget,
     min_weight_search,
     row_echelon,
 )
@@ -50,9 +50,6 @@ __all__ = [
 #: Values below this are flushed to exact zero and counted as polarized-low;
 #: doubly exponential decay underflows doubles long before it stops mattering.
 UNDERFLOW_FLOOR = 1e-300
-
-DEFAULT_PATTERN_BUDGET = 1 << 20
-DEFAULT_TREE_BUDGET = 10**6
 
 #: Children reduced per vectorised step of erasure_polynomials; bounds its
 #: int64 temporaries to a few k x k x _CHUNK arrays.
@@ -89,7 +86,7 @@ class ErasurePolynomialSet:
         return terms @ self.counts.T.astype(np.float64)
 
 
-def erasure_polynomials(m: FqMatrix, budget=None) -> ErasurePolynomialSet:
+def erasure_polynomials(m: FqMatrix) -> ErasurePolynomialSet:
     """Enumerate all 2^k erasure patterns of an invertible kernel.
 
     Patterns are built one weight layer at a time.  Pattern e + {i} with
@@ -106,17 +103,16 @@ def erasure_polynomials(m: FqMatrix, budget=None) -> ErasurePolynomialSet:
     is kept sorted by max(e), which makes the parents of the children that
     add row i a prefix of the layer; they are reduced together, _CHUNK at a
     time in int64.  Layer states use the smallest unsigned dtype that holds
-    q - 1 and at most two layers are alive at once: at the k <= 20 envelope
-    over F_2 that is C(20, 9) + C(20, 10) bases of 400 bytes, 141 MB.
+    q - 1 and at most two layers are alive at once: at the default budget of
+    2^20 patterns (k = 20) over F_2 that is C(20, 9) + C(20, 10) bases of
+    400 bytes, 141 MB.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
     k, q = m.rows, m.q
     if len(row_echelon(m.arr, q)[1]) < k:
         raise ValueError("singular kernel")
-    budget = enumeration_budget(DEFAULT_PATTERN_BUDGET) if budget is None else budget
-    if k > 20 or 2**k > budget:
-        raise ValueError(f"pattern enumeration budget exceeded for k={k}")
+    check_budget("erasure-pattern", 2**k, 1 << 20)
     dtype = np.min_scalar_type(q - 1)
     counts = np.zeros((k, k + 1), dtype=np.int64)
     layer = np.zeros((1, k, k), dtype=dtype)  # weight 0: the empty pattern
@@ -181,9 +177,10 @@ def leading_exponents(m) -> LeadingExponents:
     ``fqlin.min_weight_search``, or the same numbers read off the pattern
     counts when those are cheaper.  A pattern reduces a k x k basis and a
     search candidate compares k + 1 entries, so the search runs when its
-    planned candidate count is below k * 2^k or the pattern pass is over
-    its budget (POLARLAB_BUDGET, else 2^20 patterns and k <= 20); beyond
-    the search's own budget it raises BudgetExceeded.
+    planned candidate count is at most k * 2^k and 10^7, and the 2^k pattern
+    pass, within its budget of 2^20, otherwise; POLARLAB_BUDGET, when set,
+    is the limit of both.  When both are refused, the search's
+    BudgetExceeded is raised.
     """
     if isinstance(m, ErasurePolynomialSet):
         d, constants = _count_exponents(m.counts)
@@ -206,12 +203,15 @@ def _kernel_exponents(m: FqMatrix):
     k = m.rows
     if len(row_echelon(m.arr, m.q)[1]) < k:
         raise ValueError("singular kernel")
-    if k > 20 or 2**k > enumeration_budget(DEFAULT_PATTERN_BUDGET):
-        return min_weight_search(m, range(k))
     try:
-        return min_weight_search(m, range(k), min(k * 2**k, enumeration_budget(DEFAULT_SEARCH_BUDGET)))
-    except BudgetExceeded:
-        return _count_exponents(erasure_polynomials(m).counts)
+        return min_weight_search(m, range(k), min(k * 2**k, DEFAULT_SEARCH_BUDGET))
+    except BudgetExceeded as search_refused:
+        try:
+            return _count_exponents(erasure_polynomials(m).counts)
+        except BudgetExceeded:
+            # refused patterns mean k > 19 or POLARLAB_BUDGET: either way the
+            # search was refused at its full budget already
+            raise search_refused from None
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class MartingaleTreeLevel:
         return float(self.values.mean())
 
 
-def evolve_tree(m, z0: float, t: int, budget=None, return_all: bool = False):
+def evolve_tree(m, z0: float, t: int, return_all: bool = False):
     """Exact density evolution: apply (f_1..f_k) to every node, level by level.
 
     The value at index path (i_1..i_t) is f_{i_t}(...f_{i_1}(z0)...), laid out
@@ -239,9 +239,7 @@ def evolve_tree(m, z0: float, t: int, budget=None, return_all: bool = False):
     k = polys.k
     if t < 0:
         raise ValueError("tensor depth must be nonnegative")
-    budget = enumeration_budget(DEFAULT_TREE_BUDGET) if budget is None else budget
-    if k**t > budget:
-        raise ValueError(f"tree budget exceeded: k^t = {k**t} > {budget}")
+    check_budget("tree", k**t, 10**6)
     if not 0.0 <= z0 <= 1.0:
         raise ValueError("initial erasure rate must lie in [0, 1]")
     vals = np.array([float(z0)])
@@ -374,32 +372,38 @@ class LocalProfile:
     variance: np.ndarray
     suction: list
 
-    def min_variance(self, tau: float = 0.05) -> float:
-        inside = (self.grid >= tau) & (self.grid <= 1.0 - tau)
+    def min_variance(self) -> float:
+        """Least variance over the grid points in [0.05, 0.95]."""
+        inside = (self.grid >= 0.05) & (self.grid <= 0.95)
         return float(self.variance[inside].min())
 
 
-def local_profile(m, grid=None, factors=(2, 4, 8, 16), depth: int = 20) -> LocalProfile:
+#: Contraction factors c of local_profile's suction table.
+_SUCTION_FACTORS = (2, 4, 8, 16)
+#: local_profile's boundary scan runs over x = 2^-1 .. 2^-_SCAN_DEPTH.
+_SCAN_DEPTH = 20
+
+
+def local_profile(m) -> LocalProfile:
     """Variance-in-the-middle curve plus suction fractions near both ends.
 
-    v(x) = mean_j (f_j(x) - x)^2 on the grid.  For each factor c the boundary
-    scan walks x over 2^-1 .. 2^-depth (and mirrored near 1), records the
-    fraction of indices moved by at least the factor c, and reports the
-    largest scan point from which that fraction has already stabilized at its
-    smallest-x value.
+    v(x) = mean_j (f_j(x) - x)^2 on the grid x = 0.01, 0.02, .., 0.99.  For
+    each factor c of _SUCTION_FACTORS the boundary scan walks x over
+    2^-1 .. 2^-_SCAN_DEPTH (and mirrored near 1), records the fraction of
+    indices moved by at least the factor c, and reports the largest scan
+    point from which that fraction has already stabilized at its smallest-x
+    value.
     """
     polys = _coerce_polys(m)
-    if grid is None:
-        grid = np.linspace(0.01, 0.99, 99)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.linspace(0.01, 0.99, 99)
     fx = polys.evaluate(grid)
     variance = np.mean((fx - grid[..., None]) ** 2, axis=-1)
 
-    scan = 2.0 ** -np.arange(1, depth + 1)
+    scan = 2.0 ** -np.arange(1, _SCAN_DEPTH + 1)
     f_low = polys.evaluate(scan)
     f_high = polys.evaluate(1.0 - scan)
     rows = []
-    for c in factors:
+    for c in _SUCTION_FACTORS:
         frac_low = np.mean(f_low <= scan[:, None] / c, axis=1)
         frac_high = np.mean(1.0 - f_high <= scan[:, None] / c, axis=1)
         rows.append(

@@ -95,3 +95,31 @@ def lead_class_weights_brute(a: FqMatrix):
             at_least = ys[(lead == c) & (weight == least[c])] != 0
             supports[c] = len({row.tobytes() for row in at_least})
     return least, supports
+
+
+def complete_columns_greedy(m0_arr: np.ndarray, q: int) -> np.ndarray:
+    """Extend a k x s column block to a k x k matrix, one rank check per column.
+
+    Tries e_0, e_1, ... in turn and keeps each unit vector that raises the
+    rank of the columns kept so far; the oracle of
+    ``kernelscope._complete_columns``.
+    """
+    k = m0_arr.shape[0]
+    cols = [m0_arr[:, i] for i in range(m0_arr.shape[1])]
+
+    def current_rank(cs):
+        if not cs:
+            return 0
+        return FqMatrix(q, np.column_stack(cs).T).rank()
+
+    rank = current_rank(cols)
+    for i in range(k):
+        if len(cols) == k:
+            break
+        cand = np.zeros(k, dtype=np.int64)
+        cand[i] = 1
+        new_rank = current_rank(cols + [cand])
+        if new_rank > rank:
+            cols.append(cand)
+            rank = new_rank
+    return np.column_stack(cols)

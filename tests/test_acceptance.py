@@ -225,7 +225,7 @@ def test_criterion_10_codec_correctness():
         code = codec.construct_code(kernel, channels.make_erasure(q, 0.0), t, rate=1.0, frozen_zero=True)
         msgs = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
         x = codec.encode(code, msgs)
-        u_hat, _ = codec._decode_batch(code, x, code.channel)
+        u_hat = codec._decode_batch(code, x, code.channel)
         noiseless_ok &= bool(np.array_equal(u_hat, msgs))
 
     # z = 0.3, t = 8, rate 0.6: union bound and two-seed agreement

@@ -1,0 +1,100 @@
+"""The public surface: no parameter without a caller, one budget check."""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+from polarkit import channels, codec, entropy, fqlin, kernelscope, polarlab
+from polarkit.fqlin import BudgetExceeded, FqMatrix
+
+MODULES = (fqlin, channels, entropy, polarlab, kernelscope, codec)
+
+# parameters (and dataclass fields) that no caller outside the tests set;
+# each now has the one value it had by default
+DELETED = {
+    "codec.sc_decode": {"channel", "keep_posteriors", "true_message"},
+    "codec.DecodeResult": {"posteriors", "success"},
+    "entropy.polarization_exponents": {"fit_points"},
+    "entropy.ExponentReport": {"fit_points"},
+    "kernelscope.build_high_distance_kernel": {"attempts"},
+    "kernelscope.extract_high_distance_columns": {"exhaustive_limit", "subset_budget"},
+    "polarlab.local_profile": {"grid", "factors", "depth"},
+    "polarlab.LocalProfile.min_variance": {"tau"},
+    "channels.make_table_channel": {"require_symmetric"},
+    "channels.SymmetryCertificate": {"column_sums_equal"},
+}
+
+
+def _public_signatures():
+    """(qualified name, parameter names) of every public callable and method."""
+    for module in MODULES:
+        short = module.__name__.rpartition(".")[2]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            yield f"{short}.{name}", set(inspect.signature(obj).parameters)
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{short}.{name}.{attr}", set(inspect.signature(member).parameters)
+
+
+def test_only_min_weight_search_takes_a_budget():
+    with_budget = [name for name, params in _public_signatures() if "budget" in params]
+    assert with_budget == ["fqlin.min_weight_search"]
+
+
+def test_deleted_parameters_stay_deleted():
+    signatures = dict(_public_signatures())
+    for name, gone in DELETED.items():
+        assert not gone & signatures[name], name
+    assert [f.name for f in dataclasses.fields(codec.DecodeResult)] == ["message", "u_hat"]
+    for attr in ("FieldModulus", "enumeration_budget"):
+        assert not hasattr(fqlin, attr)
+    import polarkit
+
+    assert "FieldModulus" not in polarkit.__all__
+
+
+ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
+ARIKAN_POLYS = polarlab.erasure_polynomials(ARIKAN)
+
+# one call per enumeration guard, each over a POLARLAB_BUDGET of 3
+GUARDS = {
+    "block length": lambda: codec.construct_code(
+        ARIKAN, channels.make_erasure(2, 0.3), 2, rate=0.5, frozen_zero=True),
+    "erasure-pattern": lambda: polarlab.erasure_polynomials(ARIKAN),
+    "tree": lambda: polarlab.evolve_tree(ARIKAN_POLYS, 0.5, 2),
+    "minimum-weight search": lambda: fqlin.min_weight_search(FqMatrix.identity(2, 4)),
+    "source enumeration": lambda: kernelscope.ml_failure_exact(ARIKAN, 0.1),
+    "entropy state": lambda: entropy.polar_entropies(ARIKAN, entropy.erasure_joint(2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("what", list(GUARDS))
+def test_every_enumeration_is_refused_by_check_budget(what, monkeypatch):
+    calls = []
+    check = fqlin.check_budget
+
+    def recording(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in MODULES:
+        if hasattr(module, "check_budget"):
+            monkeypatch.setattr(module, "check_budget", recording)
+    monkeypatch.setenv("POLARLAB_BUDGET", "3")
+    with pytest.raises(BudgetExceeded, match=rf"^{what} budget exceeded: \d+ > 3$"):
+        GUARDS[what]()
+    assert calls[-1][0] == what
+
+
+def test_search_block_skips_only_budget_refusals(monkeypatch):
+    # a block too large to search is skipped for a wider one; any other
+    # error, here a malformed budget, reaches the caller
+    monkeypatch.setenv("POLARLAB_BUDGET", "1e7")
+    with pytest.raises(ValueError, match="POLARLAB_BUDGET must be a positive integer"):
+        kernelscope._search_block(3, 4, 1, np.random.default_rng(0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarkit.channels import (
+    Channel,
     capacity,
     make_erasure,
     make_qsc,
@@ -51,7 +52,7 @@ def test_erasure_table_and_edge_cases():
 def test_symmetric_verdicts():
     assert validate_symmetric(make_qsc(3, 0.2)).ok
     assert validate_symmetric(make_erasure(2, 0.4)).ok
-    z = make_table_channel(2, [[1.0, 0.0], [0.3, 0.7]], require_symmetric=False)
+    z = Channel(2, [[1.0, 0.0], [0.3, 0.7]])
     cert = validate_symmetric(z)
     assert not cert.ok
     assert cert.violation is not None
@@ -104,7 +105,7 @@ def test_capacity_invariant_under_relabeling():
 
 
 def test_capacity_rejects_non_symmetric():
-    z = make_table_channel(2, [[1.0, 0.0], [0.3, 0.7]], require_symmetric=False)
+    z = Channel(2, [[1.0, 0.0], [0.3, 0.7]])
     with pytest.raises(ValueError, match="symmetric"):
         capacity(z)
 
@@ -140,11 +141,11 @@ def test_sampling_reproducible_for_fixed_seed():
 
 def test_row_sum_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        make_table_channel(2, [[0.9, 0.0], [0.0, 1.0]], require_symmetric=False)
+        Channel(2, [[0.9, 0.0], [0.0, 1.0]])
 
 
 def test_non_finite_table_rejected():
     # NaN passes both the sign and the row-sum comparisons
     for w in ([[np.nan, np.nan], [np.nan, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="finite"):
-            make_table_channel(2, w, require_symmetric=False)
+            Channel(2, w)

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -130,10 +131,11 @@ def test_simulate_csv_columns(tmp_path):
 def test_distance_subcommand(tmp_path):
     out = tmp_path / "d.json"
     matrix = json.dumps(FqMatrix(2, [[1], [1]]).to_dict())
-    assert run_cli(["distance", "--kernel", "", "--matrix", matrix, "--ml-eps", "0.1", "--out", str(out)]) == 0
+    assert run_cli(["distance", "--kernel", matrix, "--ml-eps", "0.1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["distance"] == 2
     assert abs(doc["result"]["ml"]["failure"] - 0.19) < 1e-12
+    assert "matrix" not in doc["spec"] and doc["spec"]["kernel"] == matrix
 
 
 def test_extract_columns_subcommand(tmp_path):
@@ -177,14 +179,50 @@ def test_validation_error_exit_2(capsys):
     ["polarize", "--z", "0.5", "--t", "3", "--lambda", "nan"],
     ["polarize", "--z", "0.5", "--t", "3", "--threshold", "nan"],
     ["exponents", "--b-min", "nan"],
+    # no --matrix: --kernel takes the same inline JSON
+    ["distance", "--matrix", '{"q": 2, "rows": 3, "cols": 1, "entries": [1, 1, 0]}'],
+    # a binary kernel on F_3 channels
+    ["construct", "--channel", '{"kind": "erasure", "q": 3, "param": 0.1}', "--t", "3", "--rate", "0.5", "--seed", "1"],
+    ["construct", "--channel", '{"kind": "qsc", "q": 3, "param": 0.1}', "--t", "3", "--rate", "0.5", "--seed", "1"],
+    ["simulate", "--channel", '{"kind": "erasure", "q": 3, "param": 0.1}',
+     "--t", "3", "--rate", "0.5", "--trials", "10", "--seed", "1"],
+    ["simulate", "--channel", '{"kind": "qsc", "q": 3, "param": 0.1}',
+     "--t", "3", "--rate", "0.5", "--trials", "10", "--seed", "1"],
 ], ids=["nan-table", "genie-trials-0", "construct-t-neg", "polarize-t-neg",
         "polarize-t-min-neg1", "polarize-t-min-neg4",
         "block-cols-too-wide", "cols-too-wide", "cols-negative",
         "construct-threshold-nan", "polarize-lambda-nan", "polarize-threshold-nan",
-        "exponents-b-min-nan"])
+        "exponents-b-min-nan", "distance-matrix", "construct-erasure-f3", "construct-qsc-f3",
+        "simulate-erasure-f3", "simulate-qsc-f3"])
 def test_out_of_range_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the program's own errors are one "error: " line; argparse prints its
+    # usage before its "polarkit: error: " line
+    assert re.fullmatch(r"(usage: .*\npolarkit: )?error: [^\n]*\n", capsys.readouterr().err, re.S)
+
+
+def test_construct_rate_checked_before_estimation(monkeypatch, capsys):
+    from polarkit import codec
+
+    def never(*args, **kwargs):
+        pytest.fail("reliability estimation ran on an invalid --rate")
+
+    monkeypatch.setattr(codec, "genie_error_rates", never)
+    monkeypatch.setattr(codec, "evolve_tree", never)
+    for channel in ("qsc:0.05", "erasure:0.3"):
+        for rate in ("1.5", "-0.1", "nan"):
+            args = ["construct", "--channel", channel, "--t", "11", "--rate", rate, "--seed", "1"]
+            assert run_cli(args) == 2
+            assert capsys.readouterr().err.startswith("error: rate must lie in [0, 1]")
+
+
+@pytest.mark.parametrize("value", ["1e7", "0", "-5", "many"])
+def test_malformed_budget_environment_exit_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("POLARLAB_BUDGET", value)
+    assert run_cli(["analyze-kernel", "--kernel", "arikan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: POLARLAB_BUDGET must be a positive integer; got {value!r}\n"
 
 
 def test_exponents_b_min_checked_before_computation(monkeypatch, capsys):

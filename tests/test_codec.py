@@ -139,6 +139,26 @@ def word_major(pi):
     return pi.transpose(2, 1, 0)
 
 
+def decode_recording_posteriors(code, y, ch):
+    """Full-recursion SC decode of (B, N) words with the decode path's rules.
+
+    Drives ``_sc`` without a plan, with a leaf that records every index's
+    (B, q) decision posteriors, and returns (u_hat, posteriors (B, N, q)).
+    """
+    posteriors = np.zeros((len(y), code.block_length, code.q))
+    frozen = dict(zip(code.frozen.tolist(), (code.frozen_values % code.q).tolist()))
+    tie = 1e-12 * np.arange(code.q)
+
+    def leaf(i, p):
+        posteriors[:, i] = p
+        if i in frozen:
+            return np.full(len(p), frozen[i])
+        return np.argmax(p - tie, axis=1)
+
+    x_hat = _sc(code.kernel, _channel_posteriors(ch, y), code.t, leaf)
+    return tensor_apply(code.kernel, code.t, x_hat.T), posteriors
+
+
 def oracle_genie_error_rates(kernel, channel, t, trials, rng):
     n = kernel.rows**t
     engine = _ScEngine(kernel)
@@ -152,6 +172,16 @@ def oracle_genie_error_rates(kernel, channel, t, trials, rng):
         _, errors, _ = engine.run(word_major(_channel_posteriors(channel, y)), t, genie=u)
         err_total += errors.sum(axis=0)
     return err_total / trials
+
+
+def test_kernel_and_channel_over_different_fields_rejected():
+    message = "the kernel is over F_2 but the channel is over F_3"
+    for ch in (make_erasure(3, 0.1), make_qsc(3, 0.1)):
+        with pytest.raises(ValueError, match=message):
+            construct_code(ARIKAN, ch, 3, rate=0.5, rng=np.random.default_rng(1))
+    code = construct_code(ARIKAN, make_erasure(2, 0.1), 3, rate=0.5, frozen_zero=True)
+    with pytest.raises(ValueError, match=message):
+        fer_experiment(code, make_qsc(3, 0.1), 10, np.random.default_rng(1))
 
 
 def test_construct_erasure_info_set():
@@ -197,8 +227,7 @@ def test_frozen_values_act_mod_q():
     msgs = np.random.default_rng(5).integers(0, 3, size=(16, len(wide.info)))
     x = encode(wide, msgs)
     assert np.array_equal(x, encode(narrow, msgs))
-    for keep in (False, True):  # the leaf sees frozen values only without pruning
-        assert np.array_equal(_decode_batch(wide, x, ch, keep)[0], _decode_batch(narrow, x, ch, keep)[0])
+    assert np.array_equal(_decode_batch(wide, x, ch), _decode_batch(narrow, x, ch))
 
 
 def test_construct_threshold_variant():
@@ -250,7 +279,7 @@ def test_noiseless_decode_exhaustive_small_blocks():
         code = construct_code(kernel, make_erasure(q, 0.0), t, rate=1.0, frozen_zero=True)
         msgs = all_messages(q, n)
         x = encode(code, msgs)
-        u_hat, _ = _decode_batch(code, x, code.channel)
+        u_hat = _decode_batch(code, x, code.channel)
         assert np.array_equal(u_hat, msgs)
 
 
@@ -260,7 +289,7 @@ def test_noiseless_decode_with_frozen_positions():
     )
     msgs = all_messages(2, len(code.info))
     x = encode(code, msgs)
-    u_hat, _ = _decode_batch(code, x, code.channel)
+    u_hat = _decode_batch(code, x, code.channel)
     assert np.array_equal(u_hat[:, code.info], msgs)
 
 
@@ -442,22 +471,15 @@ def test_runtime_scaling_is_roughly_linear_per_level():
     assert ratio < 3 * 2
 
 
-def test_decode_result_success_flag():
-    ch = make_erasure(2, 0.2)
-    code = construct_code(ARIKAN, ch, 3, rate=0.5, rng=np.random.default_rng(89))
-    msg = np.array([1, 0, 1, 1])
-    x = encode(code, msg)
-    res = sc_decode(code, x, true_message=msg)
-    assert res.success is True
-
-
-def test_keep_posteriors_one_hot_on_noiseless():
+def test_leaf_posteriors_one_hot_on_noiseless():
     code = construct_code(ARIKAN, make_erasure(2, 0.0), 2, rate=1.0, frozen_zero=True)
     msg = np.array([1, 0, 1, 0])
     x = encode(code, msg)
-    res = sc_decode(code, x, keep_posteriors=True)
-    assert res.posteriors.shape == (4, 2)
-    assert np.allclose(res.posteriors[np.arange(4), msg], 1.0)
+    u_hat, post = decode_recording_posteriors(code, x[None], code.channel)
+    assert post.shape == (1, 4, 2)
+    assert np.allclose(post[0, np.arange(4), msg], 1.0)
+    res = sc_decode(code, x)
+    assert res.message.tolist() == msg.tolist() and np.array_equal(res.u_hat, u_hat[0])
 
 
 def _reference_kernel(name):
@@ -499,11 +521,11 @@ def test_sc_matches_reference_recursion(name, kind):
     y = sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng)
     pi = _channel_posteriors(ch, y)
 
-    u_hat, post = _decode_batch(code, y, ch, keep_posteriors=True)
+    full_u, post = decode_recording_posteriors(code, y, ch)
     ref_u, _, ref_post = _ScEngine(kernel).run(
         word_major(pi), t, frozen_mask=frozen_mask, frozen_values=frozen_values, keep_posteriors=True
     )
-    assert np.array_equal(u_hat, ref_u)
+    assert np.array_equal(full_u, ref_u) and np.array_equal(_decode_batch(code, y, ch), ref_u)
     assert np.max(np.abs(post - ref_post)) <= 1e-12
 
     # genie mode: decisions recorded, the truth fed back
@@ -564,7 +586,8 @@ def test_near_ties_go_to_the_smaller_symbol():
     code = construct_code(kernel, ch, 3, rate=0.5, rng=rng, genie_trials=2000)
     msgs = rng.integers(0, 2, size=(400, len(code.info)))
     y = sample_outputs(ch, encode(code, msgs), rng)
-    u_hat, post = _decode_batch(code, y, ch, keep_posteriors=True)
+    u_hat, post = decode_recording_posteriors(code, y, ch)
+    assert np.array_equal(_decode_batch(code, y, ch), u_hat)
     p = post[:, code.info]
     near = np.abs(p[..., 0] - p[..., 1]) <= 1e-12
     assert near.sum() > 0
@@ -610,15 +633,14 @@ def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
     u[:32, frozen] = values
     y = sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng)
 
-    u_hat, post = _decode_batch(code, y, ch)
-    assert post is None
+    u_hat = _decode_batch(code, y, ch)
     ref_u, _, _ = _ScEngine(kernel).run(
         word_major(_channel_posteriors(ch, y)), t, frozen_mask=frozen_mask, frozen_values=frozen_values
     )
     assert np.array_equal(u_hat, ref_u)
     # the certificate holds for the whole batch or not at all; one word at a
     # time it is decided per word, with the same decisions
-    singles = np.concatenate([_decode_batch(code, y[i:i + 1], ch)[0] for i in range(len(y))])
+    singles = np.concatenate([_decode_batch(code, y[i:i + 1], ch) for i in range(len(y))])
     assert np.array_equal(singles, u_hat)
 
 

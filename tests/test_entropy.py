@@ -21,7 +21,7 @@ from polarkit.entropy import (
     polar_entropies,
     polarization_exponents,
 )
-from polarkit.fqlin import FqMatrix, kron, qary_words
+from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, qary_words
 from polarkit.kernelscope import is_mixing, random_mixing
 
 
@@ -163,9 +163,11 @@ def test_singular_kernel_rejected():
         polar_entropies(FqMatrix(2, [[1, 1], [1, 1]]), erasure_joint(2, 0.3))
 
 
-def test_budget_guard():
-    with pytest.raises(ValueError, match="budget"):
-        polar_entropies(FqMatrix.identity(2, 4), erasure_joint(2, 0.5), budget=10)
+def test_budget_guard(monkeypatch):
+    monkeypatch.setenv("POLARLAB_BUDGET", "10")
+    # (q * m)^k = (2 * 3)^4 states
+    with pytest.raises(BudgetExceeded, match="entropy state budget exceeded: 1296 > 10"):
+        polar_entropies(FqMatrix.identity(2, 4), erasure_joint(2, 0.5))
 
 
 def test_map_predictor_trivial():

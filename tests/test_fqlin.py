@@ -8,8 +8,8 @@ import pytest
 from polarkit import fqlin
 from polarkit.fqlin import (
     BudgetExceeded,
-    FieldModulus,
     FqMatrix,
+    check_budget,
     field_inverse,
     kron,
     kron_power,
@@ -23,12 +23,10 @@ from helpers import lead_class_weights_brute, left_null_space, random_invertible
 
 
 def test_field_modulus_rejects_composites():
-    FieldModulus(2)
-    FieldModulus(13)
-    with pytest.raises(ValueError):
-        FieldModulus(4)
-    with pytest.raises(ValueError):
-        FieldModulus(1)
+    assert FqMatrix(2, [[1]]).q == 2 and FqMatrix(13, [[1]]).q == 13
+    for q in (4, 1):
+        with pytest.raises(ValueError, match=f"modulus {q} is not prime"):
+            FqMatrix(q, [[1]])
 
 
 def test_field_inverse_examples():
@@ -225,11 +223,23 @@ def test_matrix_dict_roundtrip():
 
 
 def test_budget_env_override(monkeypatch):
-    from polarkit.fqlin import enumeration_budget
-
-    assert enumeration_budget(123) == 123
+    check_budget("toy", 123, 123)
+    with pytest.raises(BudgetExceeded, match=r"^toy budget exceeded: 124 > 123$"):
+        check_budget("toy", 124, 123)
+    # the environment replaces the default, downwards and upwards
     monkeypatch.setenv("POLARLAB_BUDGET", "77")
-    assert enumeration_budget(123) == 77
+    check_budget("toy", 77, 10)
+    with pytest.raises(BudgetExceeded, match=r"^toy budget exceeded: 78 > 77$"):
+        check_budget("toy", 78, 123)
+
+
+@pytest.mark.parametrize("value", ["1e7", "0", "-3", "", "ten"])
+def test_budget_env_must_be_a_positive_integer(value, monkeypatch):
+    monkeypatch.setenv("POLARLAB_BUDGET", value)
+    with pytest.raises(ValueError, match="POLARLAB_BUDGET must be a positive integer") as err:
+        check_budget("toy", 1, 10)
+    assert not isinstance(err.value, BudgetExceeded)
+    assert str(err.value).endswith(f"got {value!r}")
 
 
 def test_product_and_sum_dimension_mismatch():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polarkit import kernelscope
 from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power, min_weight_search
 from polarkit.kernelscope import (
     build_high_distance_kernel,
@@ -22,7 +23,7 @@ from polarkit.kernelscope import (
 )
 from polarkit.polarlab import leading_exponents
 
-from helpers import is_mixing_brute, left_kernel_distance_enum, random_invertible
+from helpers import complete_columns_greedy, is_mixing_brute, left_kernel_distance_enum, random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
@@ -228,10 +229,25 @@ def test_extract_columns_examples():
     assert res_none.distance == 1
 
 
-def test_extract_columns_greedy_path():
-    res = extract_high_distance_columns(ARIKAN, 3, 2, exhaustive_limit=4)
+def test_extract_columns_greedy_path(monkeypatch):
+    monkeypatch.setattr(kernelscope, "_EXHAUSTIVE_COLUMNS", 4)
+    res = extract_high_distance_columns(ARIKAN, 3, 2)
     assert not res.exhaustive
     assert res.distance >= 2
+
+
+def test_complete_columns_matches_greedy_rank_checks():
+    rng = np.random.default_rng(73)
+    for q in (2, 3, 5):
+        for _ in range(40):
+            k = int(rng.integers(1, 9))
+            s = int(rng.integers(0, k + 1))
+            block = rng.integers(0, q, size=(k, s))
+            if s and FqMatrix(q, block).rank() < s:
+                continue  # the completion is defined for full column rank
+            full = kernelscope._complete_columns(block, q)
+            assert np.array_equal(full, complete_columns_greedy(block, q))
+            assert FqMatrix(q, full).is_invertible()
 
 
 def test_kernel_report_roundtrip():

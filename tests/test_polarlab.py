@@ -158,8 +158,8 @@ def test_tree_mean_conservation():
 
 
 def test_tree_budget():
-    with pytest.raises(ValueError, match="budget"):
-        evolve_tree(ARIKAN, 0.5, 21, budget=10**6)
+    with pytest.raises(BudgetExceeded, match="tree budget exceeded: 2097152 > 1000000"):
+        evolve_tree(ARIKAN, 0.5, 21)
 
 
 def test_sample_paths_trivial_and_mean():
@@ -226,8 +226,11 @@ def test_local_profile_identity():
 
 
 def test_local_profile_arikan():
-    prof = local_profile(ARIKAN, grid=np.array([0.5]))
-    assert prof.variance[0] == pytest.approx(0.0625, abs=1e-12)
+    prof = local_profile(ARIKAN)
+    # f = (2x - x^2, x^2): both move x by x(1 - x), 1/4 at x = 1/2
+    x = prof.grid
+    assert np.allclose(prof.variance, (x * (1 - x)) ** 2, rtol=0, atol=1e-15)
+    assert prof.variance[np.isclose(x, 0.5)] == pytest.approx(0.0625, abs=1e-12)
     for row in prof.suction:
         assert row.fraction_low == pytest.approx(0.5)
         assert row.fraction_high == pytest.approx(0.5)
@@ -238,7 +241,7 @@ def test_local_profile_mixing_variance_positive():
     for q in (2, 3):
         m = random_mixing(q, 3, rng)
         prof = local_profile(m)
-        assert prof.min_variance(0.05) > 0.0
+        assert prof.min_variance() > 0.0
 
 
 def test_arikan_square_strong_suction_exponents():
@@ -265,7 +268,7 @@ def test_strong_suction_certificate():
 
 def test_pattern_budget_guard():
     big = FqMatrix.identity(2, 21)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(BudgetExceeded, match="erasure-pattern budget exceeded: 2097152 > 1048576"):
         erasure_polynomials(big)
 
 
