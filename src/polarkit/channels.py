@@ -181,9 +181,20 @@ def capacity(c: Channel) -> float:
 
 
 def sample_outputs(c: Channel, x, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized channel use: one output draw per entry of ``x``."""
-    x = np.asarray(x, dtype=np.int64)
+    """Vectorized channel use: one output draw per entry of ``x``.
+
+    ``x`` holds input symbols in [0, q) (a ValueError otherwise).  Each entry
+    draws one uniform r from ``rng``, and its output is the number of the
+    input row's cumulative thresholds cdf[x, 0..m-2] that r reaches.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"channel inputs must be integers; got an array of {x.dtype}")
+    if x.size and (x.min() < 0 or x.max() >= c.q):
+        raise ValueError(f"channel inputs must lie in [0, {c.q})")
     cdf = np.cumsum(c.w, axis=1)
     r = rng.random(size=x.shape)
-    y = np.sum(r[..., None] >= cdf[x], axis=-1)
-    return np.minimum(y, c.outputs - 1)
+    y = np.zeros(x.shape, dtype=np.int64)
+    for j in range(c.outputs - 1):
+        y += r >= np.take(cdf[:, j], x)
+    return y

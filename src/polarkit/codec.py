@@ -23,7 +23,11 @@ depend only on (seed, trials) and memory on the chunk, not on the trial
 count.  Posteriors are symbol-major, shape (q, positions, words): a node's
 child s is one contiguous (q, sub * B) block, each of the q^k weight rows and
 every sum over them runs over sub * B contiguous values, and the leaf reads
-its (B, q) posteriors as a view.
+its (B, q) posteriors as a view.  They are gathered by received symbol from
+one (q, outputs) table of P(x | y).  The transforms around the recursion are
+position-major too: ``encode`` assembles u as (positions, words) in the
+smallest dtype that holds a symbol, the layout ``tensor_apply`` works in, and
+the recursion's (positions, words) codeword goes back through it as it is.
 
 Decoding skips two kinds of subtree whose output is known exactly (genie
 profiling keeps the full recursion).  An all-frozen subtree returns its own
@@ -51,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Channel, sample_outputs, validate_symmetric
-from .fqlin import FqMatrix, check_budget, qary_words, tensor_apply
+from .fqlin import FqMatrix, _residues, check_budget, qary_words, tensor_apply
 from .polarlab import evolve_tree
 
 __all__ = [
@@ -169,7 +173,7 @@ class _ScPlan(NamedTuple):
         mask[code.frozen] = True
         values = np.zeros(n, dtype=np.int64)
         values[code.frozen] = code.frozen_values % code.q  # as encode reads them
-        inv = _v_table(code.kernel)[2]
+        inv = _inverse(code.kernel)
         rate0, rate1 = {}, set()
 
         def visit(level, base):
@@ -191,21 +195,32 @@ class _ScPlan(NamedTuple):
 
 
 @lru_cache(maxsize=32)
+def _inverse(kernel: FqMatrix) -> FqMatrix:
+    return kernel.inverse()
+
+
 def _v_table(kernel: FqMatrix):
-    """Per-kernel SC tables: the child word behind every kernel output, and M^-1.
+    """Per-kernel SC tables: the child word behind every kernel output.
 
     For each kernel output v (in ``qary_words`` order) with child word
     c = v M^-1, ``order[v]`` splits the index of c into (index of
     c_0..c_{k-2}, c_{k-1}), so a node builds its combination weights straight
-    in v order; column v of the (k, q^k) ``words`` is c itself.
+    in v order; column v of the (k, q^k) ``words`` is c itself.  Tables of
+    more than 10^6 words are refused (BudgetExceeded) before the cache is
+    consulted, so a lowered budget holds for a kernel already cached.
     """
+    check_budget("kernel node table", kernel.q**kernel.rows, 10**6)
+    return _node_table(kernel)
+
+
+@lru_cache(maxsize=32)
+def _node_table(kernel: FqMatrix):
     q, k = kernel.q, kernel.rows
-    inv = kernel.inverse()
-    words = qary_words(q, k) @ inv.arr % q
+    words = qary_words(q, k) @ _inverse(kernel).arr % q
     order = tuple(divmod(int(c), q) for c in words @ q ** np.arange(k - 1, -1, -1))
     words = np.ascontiguousarray(words.T)
     words.flags.writeable = False
-    return order, words, inv
+    return order, words
 
 
 def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = None) -> np.ndarray:
@@ -224,7 +239,7 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     _, n, b = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
-    order, words, _ = _v_table(kernel)
+    order, words = _v_table(kernel)
     rate0, rate1 = (plan.rate0, plan.rate1) if plan is not None else ({}, frozenset())
 
     def node(pi, level, base):
@@ -273,12 +288,18 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
 
 
 def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
-    """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior."""
-    pi = channel.w[:, y.T]
-    total = pi.sum(axis=0)
-    if np.any(total <= 0):
+    """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior.
+
+    Gathered from the (q, outputs) table w / (column totals): the same
+    operands, summed in the same order, as dividing each gathered w[x, y] by
+    its own sum over x.
+    """
+    total = channel.w.sum(axis=0)
+    dead = total <= 0
+    if dead.any() and np.take(dead, y).any():
         raise ValueError("received symbol with zero likelihood under every input")
-    return pi / total
+    table = channel.w / np.where(dead, 1.0, total)
+    return np.take(table, y.T, axis=1)
 
 
 def _check_field(q: int, channel: Channel):
@@ -355,15 +376,15 @@ def encode(code: PolarCode, message) -> np.ndarray:
     The transform of the transmitted word then recovers u exactly:
     x @ M^{tensor t} = u.  ``message`` may carry leading batch axes.
     """
-    message = np.asarray(message, dtype=np.int64) % code.q
-    info = code.info
+    q, info = code.q, code.info
+    message = _residues(message, q)
     if message.shape[-1] != len(info):
         raise ValueError(f"message length must be {len(info)}, got {message.shape[-1]}")
-    n = code.block_length
-    u = np.zeros(message.shape[:-1] + (n,), dtype=np.int64)
-    u[..., code.frozen] = code.frozen_values
-    u[..., info] = message
-    return tensor_apply(_v_table(code.kernel)[2], code.t, u)
+    # assembled position-major, the layout tensor_apply works in
+    u = np.empty((code.block_length,) + message.shape[:-1], dtype=np.min_scalar_type(q - 1))
+    u[code.frozen] = (code.frozen_values % q).reshape((-1,) + (1,) * (message.ndim - 1))
+    u[info] = np.moveaxis(message, -1, 0)
+    return tensor_apply(_inverse(code.kernel), code.t, np.moveaxis(u, 0, -1))
 
 
 def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarray:
@@ -421,7 +442,7 @@ def genie_error_rates(
     if t < 0:
         raise ValueError("tensor depth must be nonnegative")
     n = kernel.rows**t
-    inv = _v_table(kernel)[2]
+    inv = _inverse(kernel)
     errors = np.zeros(n, dtype=np.int64)
     tie = _TIE * np.arange(kernel.q)
     for crng, size in _trial_chunks(rng, trials):

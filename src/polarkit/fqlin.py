@@ -4,8 +4,10 @@ Matrices carry their modulus and every operation reduces eagerly, so entries
 stay canonical in [0, q).  Everything is deliberately dense and desk-scale:
 kernels are a handful of rows wide and tensor powers top out around a million
 entries, so exactness and reproducibility matter more than asymptotics.
-Arithmetic is int64 throughout; moduli large enough to overflow a product of
-two entries are out of scope.
+Matrix arithmetic is int64; moduli large enough to overflow a product of two
+entries are out of scope.  The one bulk transform, ``tensor_apply``, holds its
+symbols position-major in the smallest unsigned dtype that fits one level's
+unreduced sum and reduces once per level.
 """
 
 from __future__ import annotations
@@ -475,35 +477,86 @@ def qary_words(q: int, k: int) -> np.ndarray:
     return idx[:, None] // q ** np.arange(k - 1, -1, -1) % q
 
 
+def _residues(u, q: int) -> np.ndarray:
+    """``u`` as an integer array with entries in [0, q).
+
+    Raises a ValueError for a non-integer array; reduces mod q only when the
+    least or greatest entry shows that some entry lies outside [0, q).
+    """
+    u = np.asarray(u)
+    if u.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers; got an array of {u.dtype}")
+    if u.size and (u.min() < 0 or u.max() >= q):
+        # a NumPy integer of u's kind: a Python int would have to fit u's dtype
+        u = u % (np.uint64(q) if u.dtype == np.uint64 else np.int64(q))
+    return u
+
+
 def tensor_apply(m: FqMatrix, t: int, u) -> np.ndarray:
     """Compute u @ (m tensor-power t) without materializing the power.
 
     Works level by level in O(k^t * k * t) field operations and is bit-exact
-    equal to multiplying by the dense Kronecker power.  ``u`` may carry
-    leading batch axes; the last axis must have length k**t.  Levels are
-    applied to integers and reduced mod q only when the next level could
-    overflow int64, so small fields reduce once, at the end.
+    equal to multiplying by the dense Kronecker power.  ``u`` holds integers
+    (a ValueError otherwise), reduced mod q first when any lies outside
+    [0, q); it may carry leading batch axes, and the last axis must have
+    length k**t.  The result is an int64 array of u's shape.
+
+    Inside, the words are position-major, shape (k**t, batch), so every one
+    of a level's k^2 slice operations runs over contiguous runs of
+    k^(t-axis-1) * batch symbols.  Symbols are held in the smallest unsigned
+    dtype that fits one level's unreduced sum k(q-1)^2, and each level is
+    reduced once: by XOR over F_2, else by one ``%`` in that dtype.  A field
+    whose level sum not even uint64 holds reduces after every term.
     """
     if m.rows != m.cols:
         raise ValueError("tensor_apply requires a square kernel")
     k, q = m.rows, m.q
-    u = np.asarray(u, dtype=np.int64) % q
+    u = _residues(u, q)
     n = k**t
     if u.shape[-1] != n:
         raise ValueError(f"length mismatch: expected {n}, got {u.shape[-1]}")
-    mt = m.arr.T
-    # one level multiplies the largest entry by at most the largest column sum
-    grow = int(m.arr.sum(axis=0).max())
-    v = u.reshape(-1, n)
-    bound = q - 1
+    level = _TensorLevel(m)
+    v = np.array(u.reshape(-1, n).T, dtype=level.dtype, order="C")
+    out = np.empty_like(v)
     for axis in range(t):
-        if bound * grow >= 2**62:
-            v %= q
-            bound = q - 1
-        # axis `axis` of the (k,) * t index is the middle one of these three
-        v = np.matmul(mt, v.reshape(-1, k, k ** (t - axis - 1)))
-        bound *= grow
-    return (v % q).reshape(u.shape)
+        # axis `axis` of the (k,) * t position index is the middle one here
+        level(v.reshape(k**axis, k, -1), out.reshape(k**axis, k, -1))
+        v, out = out, v
+    return np.array(v.T.reshape(u.shape), dtype=np.int64, order="C")
+
+
+class _TensorLevel:
+    """One level of tensor_apply over (before, k, after) views of the symbols:
+    out[:, j] = sum_i M[i, j] v[:, i] mod q."""
+
+    def __init__(self, m: FqMatrix):
+        q, k = m.q, m.rows
+        self.q = q
+        level_sum = k * (q - 1) ** 2
+        self.per_term = level_sum >= 2**64
+        self.dtype = np.dtype(np.uint64) if self.per_term else np.min_scalar_type(level_sum)
+        self.add = np.bitwise_xor if q == 2 else np.add
+        # the nonzero coefficients of each output column, as Python ints so
+        # that products stay in the symbols' dtype
+        self.terms = [[(i, c) for i, c in enumerate(col) if c] for col in m.arr.T.tolist()]
+
+    def __call__(self, v: np.ndarray, out: np.ndarray):
+        q, per_term = self.q, self.per_term
+        tmp = None if q == 2 else np.empty_like(out)
+        for j, terms in enumerate(self.terms):
+            acc = out[:, j]
+            prev = None  # the sum so far: a slice of v until a sum lands in acc
+            for i, c in terms:
+                term = v[:, i] if c == 1 else np.multiply(v[:, i], c, out=acc if prev is None else tmp[:, j])
+                prev = term if prev is None else self.add(prev, term, out=acc)
+                if per_term and prev is acc:
+                    np.remainder(acc, q, out=acc)
+            if prev is None:
+                acc.fill(0)
+            elif prev is not acc:
+                np.copyto(acc, prev)
+        if q > 2 and not per_term:
+            np.remainder(out, q, out=out)
 
 
 @dataclass(frozen=True)

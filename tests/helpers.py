@@ -123,3 +123,39 @@ def complete_columns_greedy(m0_arr: np.ndarray, q: int) -> np.ndarray:
             cols.append(cand)
             rank = new_rank
     return np.column_stack(cols)
+
+
+def tensor_apply_dense(m: FqMatrix, t: int, u) -> np.ndarray:
+    """u @ (m tensor-power t) mod q through the dense Kronecker power, in
+    Python integers, so no entry of any size overflows; the oracle of
+    ``fqlin.tensor_apply``."""
+    q, k = m.q, m.rows
+    a = m.arr.tolist()
+    n = k**t
+    digits = [[i // k ** (t - 1 - level) % k for level in range(t)] for i in range(n)]
+    dense = [[math.prod(a[di][dj] for di, dj in zip(digits[i], digits[j])) for j in range(n)] for i in range(n)]
+    u = np.asarray(u)
+    words = u.reshape(-1, n).tolist()
+    out = [[sum(x * dense[i][j] for i, x in enumerate(word)) % q for j in range(n)] for word in words]
+    return np.array(out, dtype=np.int64).reshape(u.shape)
+
+
+def channel_posteriors_entrywise(channel, y: np.ndarray) -> np.ndarray:
+    """Symbol-major (q, N, B) posteriors of (B, N) words, each gathered
+    w[x, y] divided by its own sum over x; the oracle of
+    ``codec._channel_posteriors``."""
+    pi = channel.w[:, y.T]
+    total = pi.sum(axis=0)
+    if np.any(total <= 0):
+        raise ValueError("received symbol with zero likelihood under every input")
+    return pi / total
+
+
+def sample_outputs_3d(c, x, rng: np.random.Generator) -> np.ndarray:
+    """One channel output per entry of x through a (..., outputs) comparison
+    with the gathered CDF rows; the oracle of ``channels.sample_outputs``."""
+    x = np.asarray(x, dtype=np.int64)
+    cdf = np.cumsum(c.w, axis=1)
+    r = rng.random(size=x.shape)
+    y = np.sum(r[..., None] >= cdf[x], axis=-1)
+    return np.minimum(y, c.outputs - 1)

@@ -61,6 +61,7 @@ def test_deleted_parameters_stay_deleted():
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 ARIKAN_POLYS = polarlab.erasure_polynomials(ARIKAN)
+ARIKAN_CODE = codec.construct_code(ARIKAN, channels.make_erasure(2, 0.3), 1, rate=0.5, frozen_zero=True)
 
 # one call per enumeration guard, each over a POLARLAB_BUDGET of 3
 GUARDS = {
@@ -71,6 +72,7 @@ GUARDS = {
     "minimum-weight search": lambda: fqlin.min_weight_search(FqMatrix.identity(2, 4)),
     "source enumeration": lambda: kernelscope.ml_failure_exact(ARIKAN, 0.1),
     "entropy state": lambda: entropy.polar_entropies(ARIKAN, entropy.erasure_joint(2, 0.5)),
+    "kernel node table": lambda: codec.sc_decode(ARIKAN_CODE, [0, 1]),
 }
 
 

@@ -15,6 +15,8 @@ from polarkit.channels import (
     validate_symmetric,
 )
 
+from helpers import sample_outputs_3d
+
 
 def binary_entropy(p):
     if p in (0.0, 1.0):
@@ -137,6 +139,34 @@ def test_sampling_reproducible_for_fixed_seed():
     a = sample_outputs(c, x, np.random.default_rng(9))
     b = sample_outputs(c, x, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("x", [-1, 2])
+def test_sampling_rejects_symbols_outside_the_field(x):
+    # -1 used to sample as input 1, and 2 raised an IndexError
+    with pytest.raises(ValueError, match=r"channel inputs must lie in \[0, 2\)"):
+        sample_outputs(make_erasure(2, 0.0), np.array([x]), np.random.default_rng(0))
+
+
+def test_sampling_rejects_non_integer_symbols():
+    # 0.7 used to be truncated to input 0
+    with pytest.raises(ValueError, match="channel inputs must be integers"):
+        sample_outputs(make_erasure(2, 0.0), np.array([0.7]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("c", [
+    make_erasure(3, 0.3),
+    make_qsc(5, 0.2),
+    make_qsc(2, 0.0),
+    # ten rows of 0.1: the last cumulative threshold is 1 - 2^-53, not 1
+    Channel(2, np.full((2, 10), 0.1)),
+], ids=["erasure", "qsc", "noiseless", "ten-outputs"])
+def test_sampling_matches_the_full_comparison(c):
+    for seed, shape in ((0, (1,)), (1, (7, 33)), (2, (2, 3, 5))):
+        x = np.random.default_rng(seed).integers(0, c.q, size=shape)
+        got = sample_outputs(c, x, np.random.default_rng(seed + 10))
+        assert got.shape == x.shape
+        assert np.array_equal(got, sample_outputs_3d(c, x, np.random.default_rng(seed + 10)))
 
 
 def test_row_sum_validation():

@@ -225,6 +225,16 @@ def test_malformed_budget_environment_exit_2(value, monkeypatch, capsys):
     assert captured.err == f"error: POLARLAB_BUDGET must be a positive integer; got {value!r}\n"
 
 
+def test_simulate_refuses_a_kernel_node_table_over_budget(monkeypatch, capsys):
+    # an SC node over this kernel would weigh all 11^8 child words
+    monkeypatch.delenv("POLARLAB_BUDGET", raising=False)
+    kernel = json.dumps(FqMatrix(11, [[int(j <= i) for j in range(8)] for i in range(8)]).to_dict())
+    args = ["simulate", "--kernel", kernel, "--channel", "erasure:0.3", "--t", "1", "--rate", "0.5",
+            "--trials", "10", "--seed", "1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == "error: kernel node table budget exceeded: 214358881 > 1000000\n"
+
+
 def test_exponents_b_min_checked_before_computation(monkeypatch, capsys):
     from polarkit import entropy
 

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from polarkit.channels import make_erasure, make_qsc, sample_outputs
+from polarkit.channels import Channel, make_erasure, make_qsc, sample_outputs
 from polarkit.cli import resolve_kernel
 from polarkit.codec import (
     PolarCode,
@@ -23,6 +23,8 @@ from polarkit.entropy import SymbolJoint, map_predictor
 from polarkit.fqlin import FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import evolve_tree
+
+from helpers import channel_posteriors_entrywise
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
@@ -247,6 +249,40 @@ def test_encode_hand_example_t1():
     code = construct_code(ARIKAN, make_erasure(2, 0.0), 1, rate=1.0, frozen_zero=True)
     x = encode(code, np.array([0, 1]))
     assert x.tolist() == [1, 1]  # u @ M^{-1} with M^{-1} = [[1,0],[1,1]]
+
+
+def test_encode_rejects_non_integer_messages():
+    # 1.7 used to be truncated to 1
+    code = construct_code(ARIKAN, make_erasure(2, 0.0), 1, rate=1.0, frozen_zero=True)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        encode(code, np.array([0, 1.7]))
+
+
+def test_encode_reduces_out_of_range_message_symbols():
+    kernel = FqMatrix(3, [[1, 0], [2, 1]])
+    code = construct_code(kernel, make_erasure(3, 0.0), 2, rate=1.0, frozen_zero=True)
+    assert np.array_equal(encode(code, [-1, 4, -3, 5]), encode(code, [2, 1, 0, 2]))
+
+
+def _table_with_a_dead_output():
+    # three random likelihood rows, and a fourth output no input reaches
+    w = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
+    return Channel(3, np.hstack([w, np.zeros((3, 1))]))
+
+
+@pytest.mark.parametrize("ch", [make_erasure(3, 0.3), make_qsc(5, 0.2), _table_with_a_dead_output()],
+                         ids=["erasure", "qsc", "table"])
+def test_channel_posteriors_match_the_entrywise_division(ch):
+    live = np.flatnonzero(ch.w.sum(axis=0) > 0)
+    y = live[np.random.default_rng(4).integers(0, len(live), size=(6, 27))]
+    got = _channel_posteriors(ch, y)
+    assert got.shape == (ch.q, 27, 6)
+    assert np.array_equal(got, channel_posteriors_entrywise(ch, y))  # to the bit
+    if len(live) < ch.outputs:
+        y[2, 5] = ch.outputs - 1
+        for posteriors in (_channel_posteriors, channel_posteriors_entrywise):
+            with pytest.raises(ValueError, match="zero likelihood"):
+                posteriors(ch, y)
 
 
 def test_encode_transform_roundtrip():

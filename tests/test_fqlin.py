@@ -19,7 +19,7 @@ from polarkit.fqlin import (
     tensor_apply,
 )
 
-from helpers import lead_class_weights_brute, left_null_space, random_invertible
+from helpers import lead_class_weights_brute, left_null_space, random_invertible, tensor_apply_dense
 
 
 def test_field_modulus_rejects_composites():
@@ -172,6 +172,47 @@ def test_tensor_apply_large_field_reduces_before_overflow():
     dense = kron_power(m, t).arr
     u = rng.integers(0, q, size=(2, 3, 3**t))
     assert np.array_equal(tensor_apply(m, t, u), u @ dense % q)
+
+
+@pytest.mark.parametrize("q, k, t", [(2, 2, 5), (2, 3, 3), (3, 3, 3), (5, 4, 2), (65537, 3, 3)])
+def test_tensor_apply_matches_the_dense_power(q, k, t):
+    # F_65537 is the case whose unreduced level sum, 3 * 65536^2, exceeds 2^32
+    rng = np.random.default_rng([q, k, t])
+    m = random_invertible(q, k, rng)
+    n = k**t
+    u = rng.integers(-2 * q, 2 * q, size=(2, 3, n))  # negatives and entries >= q too
+    want = tensor_apply_dense(m, t, u)
+    got = tensor_apply(m, t, u)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    words, want = u.reshape(-1, n), want.reshape(-1, n)
+    for batch, expected in (
+        (words, want),
+        (np.asfortranarray(words), want),
+        (words[:1], want[:1]),
+        (words[0], want[0]),
+    ):
+        got = tensor_apply(m, t, batch)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_tensor_apply_reduces_each_term_when_uint64_cannot_hold_a_level():
+    # 3 (q-1)^2 > 2^64 > (q-1)^2: every product fits, a level's sum does not
+    q = 4294967291
+    m = FqMatrix(q, [[q - 1, 3, 5], [q - 2, q - 1, 7], [1, 2, q - 1]])
+    u = np.random.default_rng(11).integers(0, q, size=(3, 9))
+    assert np.array_equal(tensor_apply(m, 2, u), tensor_apply_dense(m, 2, u))
+
+
+def test_tensor_apply_rejects_non_integer_symbols():
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        tensor_apply(FqMatrix(2, [[1, 0], [1, 1]]), 1, [0.5, 1.5])
+
+
+def test_tensor_apply_reduces_out_of_range_integers():
+    m = FqMatrix(3, [[1, 0], [2, 1]])
+    for u in ([-1, 4], np.array([-1, 4], dtype=np.int8), np.array([2**64 - 1, 4], dtype=np.uint64)):
+        reduced = [int(x) % 3 for x in np.asarray(u).tolist()]
+        assert np.array_equal(tensor_apply(m, 1, u), tensor_apply(m, 1, reduced))
 
 
 def test_tensor_apply_length_mismatch():
