@@ -37,9 +37,9 @@ def describe_kernel(m, name, z0=0.5, t_max=12):
 
     levels = evolve_tree(m, z0, t_max, return_all=True)
     rep = polarization_report(levels[4:], lam=0.45, gamma=0.8, threshold=1e-6)
-    print(" t   frac_exp   frac_strong   rate<=1e-6   underflow")
-    for t, fe, fs, rate, under in rep.rows():
-        print(f"{t:2d}   {fe:.5f}    {fs:.5f}       {rate:.5f}      {under}")
+    print(" t   frac_exp   frac_strong   rate<=1e-6")
+    for t, fe, fs, rate in rep.rows():
+        print(f"{t:2d}   {fe:.5f}    {fs:.5f}       {rate:.5f}")
     print(f"fitted per-level decay rho_hat = {rep.rho_hat:.4f}")
 
     ends = sample_paths(m, z0, t_max, 50_000, np.random.default_rng(1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fqlin import _as_modulus
+from .fqlin import _as_modulus, check_budget
 
 __all__ = [
     "Channel",
@@ -90,6 +90,7 @@ def make_qsc(q, eps: float) -> Channel:
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValueError("noise probability must lie in [0, 1]")
+    check_budget("channel table", q * q, 10**7)
     w = np.full((q, q), eps / (q - 1))
     np.fill_diagonal(w, 1.0 - eps)
     return Channel(q, w, kind="additive", param=eps)
@@ -101,6 +102,7 @@ def make_erasure(q, z: float) -> Channel:
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
+    check_budget("channel table", q * (q + 1), 10**7)
     w = np.zeros((q, q + 1))
     np.fill_diagonal(w, 1.0 - z)
     w[:, q] = z

@@ -122,7 +122,7 @@ def cmd_polarize(args) -> int:
     start = min(args.t_min, args.t)
     report = polarlab.polarization_report(levels[start:], args.lam, args.gamma, args.threshold)
     spec = _spec_dict(args, ["kernel", "q", "z", "t", "t_min", "lam", "gamma", "threshold"])
-    columns = ["t", "fraction_exp", "fraction_strong", "rate_at_threshold", "underflow_count"]
+    columns = ["t", "fraction_exp", "fraction_strong", "rate_at_threshold"]
     _emit_csv(columns, list(report.rows()), spec, args.out)
     print(f"polarize: levels {start}..{args.t} rho_hat={report.rho_hat!r}", file=sys.stderr)
     return 0

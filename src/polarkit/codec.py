@@ -345,7 +345,7 @@ def construct_code(
         raise ValueError(f"threshold must be finite; got {threshold}")
 
     if channel.kind == "erasure":
-        estimates = evolve_tree(kernel, channel.param, t).values.copy()
+        estimates = evolve_tree(kernel, channel.param, t).values
         method = "exact-erasure-tree"
     else:
         if rng is None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import make_erasure
 from .fqlin import FqMatrix, _as_modulus, check_budget, qary_words
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "polar_entropies",
     "polarization_exponents",
     "map_predictor",
-    "fano_bound",
     "consensus_predictor_error",
     "erasure_joint",
     "erasure_family",
@@ -74,18 +74,11 @@ class SymbolJoint:
 def erasure_joint(q, z: float) -> SymbolJoint:
     """U uniform on F_q; A = U with probability 1-z, else an erasure label.
 
-    The side alphabet is F_q plus the distinguished label q.  The normalized
-    conditional entropy is exactly z, which makes this the canonical test
-    family for exponent fits.
+    The joint of ``channels.make_erasure(q, z)``: the side alphabet is F_q
+    plus the erasure label q.  The normalized conditional entropy is exactly
+    z, which makes this the canonical test family for exponent fits.
     """
-    q = _as_modulus(q)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("erasure probability must lie in [0, 1]")
-    p = np.zeros((q, q + 1))
-    for u in range(q):
-        p[u, u] = (1.0 - z) / q
-        p[u, q] = z / q
-    return SymbolJoint(q, p)
+    return channel_joint(make_erasure(q, z))
 
 
 def erasure_family(q):
@@ -225,13 +218,6 @@ def map_predictor(joint: SymbolJoint):
     f = np.argmax(joint.p, axis=0).astype(np.int64)
     err = float(1.0 - joint.p.max(axis=0).sum())
     return f, err
-
-
-def fano_bound(delta: float, alphabet_size: int) -> float:
-    """Entropy bound 2*delta*(log2(1/delta) + log2(s)) from a predictor error."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError("the bound requires 0 < delta < 1/2")
-    return 2.0 * delta * (math.log2(1.0 / delta) + math.log2(alphabet_size))
 
 
 def consensus_predictor_error(joint: SymbolJoint) -> float:

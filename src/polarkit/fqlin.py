@@ -50,8 +50,8 @@ def check_budget(what: str, cost: int, default: int):
     """Refuse an enumeration of ``cost`` items above its limit (BudgetExceeded).
 
     The limit is POLARLAB_BUDGET when that is set, else ``default``.  Every
-    enumeration in the package is checked here before it starts, and this is
-    the only reader of POLARLAB_BUDGET.
+    enumeration and channel table in the package is checked here before it
+    starts, and this is the only reader of POLARLAB_BUDGET.
     """
     raw = os.environ.get(BUDGET_ENV)
     limit = default

@@ -15,6 +15,9 @@ which satisfies sum_j f_j(x) = k*x (each M[e, :] has full row rank, so every
 pattern contributes exactly |e| pivots).  Iterating the maps down a full
 index tree is exact density evolution; sampling uniform index paths gives
 the martingale view of the same object.
+
+The tree lives in log space: a node is the pair (ln z, ln(1 - z)), so deep
+leaves far below the smallest double neither underflow nor need a floor.
 """
 
 from __future__ import annotations
@@ -47,9 +50,12 @@ __all__ = [
     "local_profile",
 ]
 
-#: Values below this are flushed to exact zero and counted as polarized-low;
-#: doubly exponential decay underflows doubles long before it stops mattering.
-UNDERFLOW_FLOOR = 1e-300
+#: e^-700 < 1e-304 cannot change a log-sum-exp's sum of at least 1; clamping
+#: exp's argument there keeps np.exp off its slow subnormal path.
+_NEGLIGIBLE = -700.0
+
+#: Parent nodes per log_step call in evolve_tree, bounding its temporaries.
+_TREE_CHUNK = 1 << 14
 
 #: Children reduced per vectorised step of erasure_polynomials; bounds its
 #: int64 temporaries to a few k x k x _CHUNK arrays.
@@ -72,18 +78,38 @@ class ErasurePolynomialSet:
     def k(self) -> int:
         return self.kernel.rows
 
-    def evaluate(self, x) -> np.ndarray:
-        """f_j(x) for all j; returns shape x.shape + (k,).
+    def log_step(self, log_x, log_1mx):
+        """(ln f_j(x), ln(1 - f_j(x))) for all j, shape log_x.shape + (k,).
 
-        The weight-expansion form has only nonnegative terms, so evaluation
-        is stable arbitrarily close to both endpoints.
+        f_j = sum_w c_j[w] x^w (1-x)^(k-w) and 1 - f_j = sum_w (C(k, w) -
+        c_j[w]) x^w (1-x)^(k-w) are sums of nonnegative terms, so each is a
+        log-sum-exp: the smaller side keeps full relative precision, x = 0
+        and 1 included.  The larger is rebuilt as ln(1 - e^smaller); summed,
+        it would double the inputs' error at each 2x - x^2 near x = 1.
         """
+        lx, ly, k = np.asarray(log_x, dtype=np.float64), np.asarray(log_1mx, dtype=np.float64), self.k
+        # ln x^w (1-x)^(k-w); a zero power adds nothing, even to ln 0 = -inf
+        terms = [k * ly] + [w * lx + (k - w) * ly for w in range(1, k)] + [k * lx]
+
+        def log_sum(weights):  # never empty: c_j[k] = 1 and C(k, 0) - c_j[0] = 1
+            ws = np.flatnonzero(weights)
+            top = np.maximum.reduce([terms[w] for w in ws])
+            return top + np.log(sum(weights[w] * np.exp(np.fmax(terms[w] - top, _NEGLIGIBLE)) for w in ws))
+
+        binom = np.array([math.comb(k, w) for w in range(k + 1)])
+        with np.errstate(invalid="ignore"):  # -inf - -inf where all terms are -inf
+            log_f = np.stack([log_sum(c) for c in self.counts], axis=-1)
+            log_1mf = np.stack([log_sum(c) for c in binom - self.counts], axis=-1)
+        small = np.minimum(log_f, log_1mf)
+        rebuilt = np.log(1.0 - np.exp(np.fmax(small, _NEGLIGIBLE)))
+        f_small = log_f <= log_1mf
+        return np.where(f_small, small, rebuilt), np.where(f_small, rebuilt, small)
+
+    def evaluate(self, x) -> np.ndarray:
+        """f_j(x) for all j, as exp of ``log_step``; returns shape x.shape + (k,)."""
         x = np.asarray(x, dtype=np.float64)
-        k = self.k
-        w = np.arange(k + 1)
-        xe = x[..., None]
-        terms = xe**w * (1.0 - xe) ** (k - w)
-        return terms @ self.counts.T.astype(np.float64)
+        with np.errstate(divide="ignore"):
+            return np.exp(self.log_step(np.log(x), np.log1p(-x))[0])
 
 
 def erasure_polynomials(m: FqMatrix) -> ErasurePolynomialSet:
@@ -216,56 +242,64 @@ def _kernel_exponents(m: FqMatrix):
 
 @dataclass(frozen=True)
 class MartingaleTreeLevel:
-    """All k^t synthetic erasure rates at depth t, lexicographic by index path."""
+    """All k^t synthetic erasure rates at depth t as ln z, lexicographic by index path."""
 
     t: int
-    values: np.ndarray
-    underflow_count: int = 0
+    log_values: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """exp(log_values), recomputed on each access."""
+        return np.exp(self.log_values)
 
     @property
     def mean(self) -> float:
         return float(self.values.mean())
 
 
+def _log_start(z0: float, t: int, n: int):
+    """(ln z0, ln(1 - z0)) repeated n times, after checking t and z0."""
+    if t < 0:
+        raise ValueError("tensor depth must be nonnegative")
+    if not 0.0 <= z0 <= 1.0:  # NaN fails the comparison too
+        raise ValueError("initial erasure rate must lie in [0, 1]")
+    z = np.full(n, float(z0))
+    with np.errstate(divide="ignore"):
+        return np.log(z), np.log1p(-z)
+
+
 def evolve_tree(m, z0: float, t: int, return_all: bool = False):
     """Exact density evolution: apply (f_1..f_k) to every node, level by level.
 
     The value at index path (i_1..i_t) is f_{i_t}(...f_{i_1}(z0)...), laid out
-    lexicographically.  Returns the level-t MartingaleTreeLevel, or the whole
-    list of levels 0..t with ``return_all``.  Underflow counts accumulate over
-    the evolution up to each level.
+    lexicographically, through ``log_step`` on _TREE_CHUNK parents at a time;
+    a level keeps ln z only.  Returns the level-t MartingaleTreeLevel, or the
+    whole list of levels 0..t with ``return_all``.
     """
     polys = _coerce_polys(m)
-    k = polys.k
-    if t < 0:
-        raise ValueError("tensor depth must be nonnegative")
-    check_budget("tree", k**t, 10**6)
-    if not 0.0 <= z0 <= 1.0:
-        raise ValueError("initial erasure rate must lie in [0, 1]")
-    vals = np.array([float(z0)])
-    underflow = 0
-    levels = [MartingaleTreeLevel(0, vals, 0)]
+    log_z, log_1mz = _log_start(z0, t, 1)
+    check_budget("tree", polys.k**t, 10**6)
+    levels = [MartingaleTreeLevel(0, log_z)]
     for level in range(1, t + 1):
-        vals = polys.evaluate(vals).ravel()
-        tiny = (vals > 0) & (vals < UNDERFLOW_FLOOR)
-        underflow += int(tiny.sum())
-        vals[tiny] = 0.0
-        vals.flags.writeable = False
-        levels.append(MartingaleTreeLevel(level, vals, underflow))
+        next_z, next_1mz = np.empty(log_z.size * polys.k), np.empty(log_z.size * polys.k)
+        for lo in range(0, log_z.size, _TREE_CHUNK):
+            parents, children = slice(lo, lo + _TREE_CHUNK), slice(lo * polys.k, (lo + _TREE_CHUNK) * polys.k)
+            next_z[children], next_1mz[children] = (
+                side.ravel() for side in polys.log_step(log_z[parents], log_1mz[parents]))
+        log_z, log_1mz = next_z, next_1mz
+        log_z.flags.writeable = False
+        levels.append(MartingaleTreeLevel(level, log_z))
     return levels if return_all else levels[-1]
 
 
 def sample_paths(m, z0: float, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Endpoints of n independent uniform index paths through the tree."""
     polys = _coerce_polys(m)
-    k = polys.k
-    vals = np.full(n, float(z0))
+    log_z, log_1mz = _log_start(z0, t, n)
     for _ in range(t):
-        idx = rng.integers(0, k, size=n)
-        branched = polys.evaluate(vals)
-        vals = branched[np.arange(n), idx]
-        vals[(vals > 0) & (vals < UNDERFLOW_FLOOR)] = 0.0
-    return vals
+        pick = np.arange(n), rng.integers(0, polys.k, size=n)
+        log_z, log_1mz = (side[pick] for side in polys.log_step(log_z, log_1mz))
+    return np.exp(log_z)
 
 
 @dataclass(frozen=True)
@@ -286,32 +320,22 @@ class PolarizationReport:
     fraction_exp: np.ndarray
     fraction_strong: np.ndarray
     rate_at_threshold: np.ndarray
-    underflow_counts: np.ndarray
     rho_hat: float
 
     def rows(self):
-        """Per-level rows (t, fraction_exp, fraction_strong, rate, underflow)."""
-        for i, t in enumerate(self.levels):
-            yield (
-                int(t),
-                float(self.fraction_exp[i]),
-                float(self.fraction_strong[i]),
-                float(self.rate_at_threshold[i]),
-                int(self.underflow_counts[i]),
-            )
+        """Per-level rows (t, fraction_exp, fraction_strong, rate)."""
+        columns = self.levels, self.fraction_exp, self.fraction_strong, self.rate_at_threshold
+        return zip(*(column.tolist() for column in columns))
 
 
 def polarization_report(levels, lam: float, gamma: float, threshold: float) -> PolarizationReport:
     """Measure both polarization windows on one or more tree levels.
 
-    Windows are open intervals, so boundary values count as polarized.  The
-    low edge 2^-2^(lam*t) underflows to exact 0.0 for large t, at which point
-    only flushed-to-zero values escape the window; the underflow counts keep
-    that bookkeeping visible.
+    Windows are open intervals, so boundary values count as polarized.  Each
+    leaf's ln z is compared with the log of each edge: -2^(lam*t) ln 2 for
+    the low edge, which stays finite however deep the level.
     """
-    if isinstance(levels, MartingaleTreeLevel):
-        levels = [levels]
-    levels = list(levels)
+    levels = [levels] if isinstance(levels, MartingaleTreeLevel) else list(levels)
     if not levels:
         raise ValueError("no levels supplied")
     if not 0.0 < gamma < 1.0:
@@ -321,36 +345,21 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
         raise ValueError(f"lambda must be positive and finite; got {lam}")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite; got {threshold}")
-    ts, f_exp, f_strong, rate, under = [], [], [], [], []
+    fractions = []
     for lev in levels:
-        v = lev.values
-        t = lev.t
-        low = 2.0 ** -(2.0 ** (lam * t))
-        high = 1.0 - gamma**t
-        ts.append(t)
-        f_exp.append(float(np.mean((v > low) & (v < high))))
-        f_strong.append(float(np.mean((v > gamma**t) & (v < high))))
-        rate.append(float(np.mean(v <= threshold)))
-        under.append(lev.underflow_count)
-    f_exp = np.array(f_exp)
-    ts = np.array(ts)
+        v, t = lev.log_values, lev.t
+        low = -(2.0 ** (lam * t)) * math.log(2.0)
+        # ln 0 = -inf; a negative threshold has ln nan, below which nothing lies
+        with np.errstate(divide="ignore", invalid="ignore"):
+            strong, high, below = np.log([gamma**t, 1.0 - gamma**t, threshold])
+        under_high = v < high
+        fractions.append(
+            [np.mean((v > low) & under_high), np.mean((v > strong) & under_high), np.mean(v <= below)])
+    ts = np.array([lev.t for lev in levels])
+    f_exp, f_strong, rate = np.array(fractions).T
     positive = f_exp > 0
-    if positive.sum() >= 2:
-        slope = np.polyfit(ts[positive], np.log(f_exp[positive]), 1)[0]
-        rho_hat = float(math.exp(slope))
-    else:
-        rho_hat = float("nan")
-    return PolarizationReport(
-        lam,
-        gamma,
-        threshold,
-        ts,
-        f_exp,
-        np.array(f_strong),
-        np.array(rate),
-        np.array(under, dtype=np.int64),
-        rho_hat,
-    )
+    fit = np.polyfit(ts[positive], np.log(f_exp[positive]), 1)[0] if positive.sum() >= 2 else math.nan
+    return PolarizationReport(lam, gamma, threshold, ts, f_exp, f_strong, rate, float(math.exp(fit)))
 
 
 @dataclass(frozen=True)

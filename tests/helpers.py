@@ -151,6 +151,13 @@ def channel_posteriors_entrywise(channel, y: np.ndarray) -> np.ndarray:
     return pi / total
 
 
+def fano_bound(delta: float, alphabet_size: int) -> float:
+    """Entropy bound 2*delta*(log2(1/delta) + log2(s)) from a predictor error."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError("the bound requires 0 < delta < 1/2")
+    return 2.0 * delta * (math.log2(1.0 / delta) + math.log2(alphabet_size))
+
+
 def sample_outputs_3d(c, x, rng: np.random.Generator) -> np.ndarray:
     """One channel output per entry of x through a (..., outputs) comparison
     with the gathered CDF rows; the oracle of ``channels.sample_outputs``."""

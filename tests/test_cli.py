@@ -53,7 +53,7 @@ def test_polarize_csv(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# polarkit")
-    assert lines[2] == "t,fraction_exp,fraction_strong,rate_at_threshold,underflow_count"
+    assert lines[2] == "t,fraction_exp,fraction_strong,rate_at_threshold"
     rows = [line.split(",") for line in lines[3:]]
     assert [r[0] for r in rows] == [str(t) for t in range(6, 13)]
     fractions = [float(r[1]) for r in rows]
@@ -233,6 +233,16 @@ def test_simulate_refuses_a_kernel_node_table_over_budget(monkeypatch, capsys):
             "--trials", "10", "--seed", "1"]
     assert run_cli(args) == 2
     assert capsys.readouterr().err == "error: kernel node table budget exceeded: 214358881 > 1000000\n"
+
+
+@pytest.mark.parametrize("channel, entries", [("erasure:0.3", 65537 * 65538), ("qsc:0.1", 65537 * 65537)])
+def test_simulate_refuses_a_channel_table_over_budget(channel, entries, monkeypatch, capsys):
+    # the (q, q + 1) or (q, q) table over F_65537 would take 32 GiB
+    monkeypatch.delenv("POLARLAB_BUDGET", raising=False)
+    args = ["simulate", "--kernel", "arikan", "--q", "65537", "--channel", channel, "--t", "2",
+            "--rate", "0.5", "--trials", "10", "--seed", "1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: channel table budget exceeded: {entries} > 10000000\n"
 
 
 def test_exponents_b_min_checked_before_computation(monkeypatch, capsys):

@@ -16,13 +16,14 @@ from polarkit.entropy import (
     consensus_predictor_error,
     erasure_family,
     erasure_joint,
-    fano_bound,
     map_predictor,
     polar_entropies,
     polarization_exponents,
 )
 from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, qary_words
 from polarkit.kernelscope import is_mixing, random_mixing
+
+from helpers import fano_bound
 
 
 def random_joint(q, m, rng):
@@ -72,6 +73,18 @@ def test_erasure_joint_calibration():
     for q in (2, 3, 5):
         for z in (0.0, 0.25, 0.5, 1.0):
             assert cond_entropy(erasure_joint(q, z)) == pytest.approx(z, abs=1e-12)
+
+
+def test_erasure_joint_is_the_erasure_channel_table():
+    # the table erasure_joint built entry by entry before it became the
+    # channel's joint: (1-z)/q on the diagonal, z/q in the erasure column
+    for q in (2, 3, 5, 7):
+        for z in np.linspace(0.0, 1.0, 106):
+            p = np.zeros((q, q + 1))
+            for u in range(q):
+                p[u, u] = (1.0 - z) / q
+                p[u, q] = z / q
+            assert erasure_joint(q, z).p.tobytes() == p.tobytes(), (q, z)
 
 
 def test_identity_kernel_profile():

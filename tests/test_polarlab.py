@@ -1,6 +1,7 @@
 """Erasure polynomials, tree evolution, sampling, window reports."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from polarkit.fqlin import (
 )
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import (
+    MartingaleTreeLevel,
     erasure_polynomials,
     evolve_tree,
     leading_exponents,
@@ -137,17 +139,92 @@ def test_leading_exponents_examples():
 
 
 def test_evolve_tree_small_levels():
-    assert evolve_tree(ARIKAN, 0.5, 0).values.tolist() == [0.5]
-    level1 = evolve_tree(ARIKAN, 0.5, 1)
-    assert level1.values.tolist() == [0.75, 0.25]
-    level2 = evolve_tree(ARIKAN, 0.5, 2)
+    # values are exp(ln z): the exact dyadic values within 2 ulp, not bit for bit
+    def assert_level(t, exact):
+        got = evolve_tree(ARIKAN, 0.5, t).values
+        exact = np.array(exact)
+        assert np.all(np.abs(got - exact) <= 2 * np.spacing(exact)), (t, got.tolist())
+
+    assert_level(0, [0.5])
+    assert_level(1, [0.75, 0.25])
     # lexicographic: (f1 f1, f2 f1, f1 f2, f2 f2) applied inner-first
-    assert level2.values.tolist() == [
-        2 * 0.75 - 0.75**2,
-        0.75**2,
-        2 * 0.25 - 0.25**2,
-        0.25**2,
-    ]
+    assert_level(2, [15 / 16, 9 / 16, 7 / 16, 1 / 16])
+
+
+def exact_tree(counts: np.ndarray, z0: Fraction, t: int):
+    """Level-t leaves f_{i_t}(...f_{i_1}(z0)...) as Fractions, lexicographic."""
+    k = counts.shape[0]
+    level = [z0]
+    for _ in range(t):
+        level = [
+            sum(int(c) * x**w * (1 - x) ** (k - w) for w, c in enumerate(counts[j]))
+            for x in level
+            for j in range(k)
+        ]
+    return level
+
+
+def exact_ln(p: Fraction) -> float:
+    """ln p for p in (0, 1], correct to a few ulp.
+
+    Above 1/2, log1p of the exact 1 - p.  Otherwise p = m * 2^e with m in
+    (1/2, 2) and e <= -1, and e ln 2 + ln m cancels at most half its digits.
+    """
+    if p > Fraction(1, 2):
+        return math.log1p(-float(1 - p))
+    e = p.numerator.bit_length() - p.denominator.bit_length()
+    return e * math.log(2) + math.log(float(p / Fraction(2) ** e))
+
+
+def assert_log_pair_matches_exact(m: FqMatrix, z0: float, t_max: int):
+    """Iterate log_step from (ln z0, ln(1 - z0)) and compare every level's
+    ln z and ln(1 - z) with the exact tree, within 1e-13 of max(1, |ln|)."""
+    polys = erasure_polynomials(m)
+    log_z, log_1mz = np.log([z0]), np.log1p([-z0])
+    for t in range(1, t_max + 1):
+        log_z, log_1mz = (side.ravel() for side in polys.log_step(log_z, log_1mz))
+        exact = exact_tree(polys.counts, Fraction(z0), t)
+        for got, want in ((log_z, [exact_ln(z) for z in exact]), (log_1mz, [exact_ln(1 - z) for z in exact])):
+            want = np.array(want)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-13, (m.q, t, float(err.max()))
+        assert np.array_equal(evolve_tree(polys, z0, t).log_values, log_z)
+
+
+def test_log_step_matches_exact_tree_arikan():
+    assert_log_pair_matches_exact(ARIKAN, 0.3, 8)
+
+
+def test_log_step_matches_exact_tree_f3():
+    m = random_mixing(3, 3, np.random.default_rng(3))
+    assert_log_pair_matches_exact(m, 0.6, 4)
+
+
+def test_chunked_tree_matches_whole_level_steps():
+    # level 16 has 2^15 parents, more than one of evolve_tree's chunks
+    polys = erasure_polynomials(ARIKAN)
+    log_z, log_1mz = np.log([0.4]), np.log1p([-0.4])
+    for _ in range(16):
+        log_z, log_1mz = (side.ravel() for side in polys.log_step(log_z, log_1mz))
+    assert np.array_equal(evolve_tree(polys, 0.4, 16).log_values, log_z)
+
+
+def test_log_step_handles_both_endpoints():
+    polys = erasure_polynomials(random_mixing(3, 3, np.random.default_rng(4)))
+    log_f, log_1mf = polys.log_step(np.array([-np.inf, 0.0]), np.array([0.0, -np.inf]))
+    assert log_f.tolist() == [[-np.inf] * 3, [0.0] * 3]
+    assert log_1mf.tolist() == [[0.0] * 3, [-np.inf] * 3]
+
+
+def test_deep_leaves_stay_finite():
+    # at t = 12 some leaves lie below 1e-300, which a float tree cannot hold
+    # for long; in log space every leaf is finite and none is lost.  No leaf
+    # rounds above 1, as one would if ln z near 0 were summed from terms
+    # instead of rebuilt from ln(1 - z).
+    level = evolve_tree(ARIKAN, 0.5, 12)
+    assert np.all(np.isfinite(level.log_values))
+    assert (level.log_values < math.log(1e-300)).any()
+    assert level.log_values.max() <= 0.0
 
 
 def test_tree_mean_conservation():
@@ -160,6 +237,15 @@ def test_tree_mean_conservation():
 def test_tree_budget():
     with pytest.raises(BudgetExceeded, match="tree budget exceeded: 2097152 > 1000000"):
         evolve_tree(ARIKAN, 0.5, 21)
+
+
+def test_sample_paths_validates_like_evolve_tree():
+    rng = np.random.default_rng(0)
+    for z0 in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"initial erasure rate must lie in \[0, 1\]"):
+            sample_paths(ARIKAN, z0, 3, 4, rng)
+    with pytest.raises(ValueError, match="tensor depth must be nonnegative"):
+        sample_paths(ARIKAN, 0.5, -2, 4, rng)
 
 
 def test_sample_paths_trivial_and_mean():
@@ -190,9 +276,7 @@ def test_polarization_report_trivial_cases():
     assert np.all(fully.fraction_strong == 0.0)
 
     # boundary values sit outside the open window
-    from polarkit.polarlab import MartingaleTreeLevel
-
-    level = MartingaleTreeLevel(1, np.array([0.5, 0.5]), 0)
+    level = MartingaleTreeLevel(1, np.log([0.5, 0.5]))
     rep = polarization_report(level, 0.45, 0.5, 1e-6)
     assert rep.fraction_strong[0] == 0.0
 
@@ -213,10 +297,30 @@ def test_polarization_report_validation():
         polarization_report(evolve_tree(ARIKAN, 0.5, 2), 0.45, 1.5, 1e-6)
 
 
-def test_underflow_flush_is_counted():
-    level = evolve_tree(ARIKAN, 0.5, 12)
-    assert level.underflow_count > 0
-    assert not ((level.values > 0) & (level.values < 1e-300)).any()
+def arikan_half_numerators(t: int):
+    """Level-t leaves of the arikan tree from z0 = 1/2, as integers a of
+    a / 2^(2^t): f1 = 2x - x^2 and f2 = x^2 keep the denominator a power of 2."""
+    nums, e = [1], 1
+    for _ in range(t):
+        nums = [c for a in nums for c in ((a << (e + 1)) - a * a, a * a)]
+        e *= 2
+    return nums, e
+
+
+@pytest.mark.parametrize("t", [12, 13, 14])
+def test_fraction_exp_is_exact_below_the_smallest_double(t):
+    # at lam = 0.9 the low edge 2^-2^(0.9 t) lies below the smallest double;
+    # count the leaves inside the window in exact arithmetic
+    lam, gamma = 0.9, 0.8
+    nums, e = arikan_half_numerators(t)
+    low = -(2.0 ** (lam * t))  # log2 of the low edge
+    high = Fraction(1.0 - gamma**t)  # the float high edge, exactly
+    log2_z = np.array([math.log2(a) - e for a in nums])
+    assert np.min(np.abs(log2_z - low)) > 1e-6  # no leaf is within float reach of the edge
+    top = high.numerator << e  # a / 2^e < high, cleared of denominators
+    inside = sum(1 for a, l2 in zip(nums, log2_z) if l2 > low and a * high.denominator < top)
+    rep = polarization_report(evolve_tree(ARIKAN, 0.5, t), lam, gamma, 1e-6)
+    assert rep.fraction_exp[0] == inside / 2**t
 
 
 def test_local_profile_identity():
