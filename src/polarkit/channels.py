@@ -122,9 +122,10 @@ def make_table_channel(q, w) -> Channel:
 class SymmetryCertificate:
     """Outcome of the symmetry check.
 
-    On success ``bijections[(a, b)]`` holds sigma with w[y|a] = w[sigma(y)|b]
-    for every output y.  On failure ``violation`` names an offending input
-    pair and ``reason`` says why.
+    On success ``bijections[(0, b)]`` holds sigma with w[y|0] = w[sigma(y)|b]
+    for every output y and every input b; composing two of them gives the
+    bijection of any input pair.  On failure ``violation`` names an
+    offending input pair and ``reason`` says why.
     """
 
     ok: bool
@@ -137,32 +138,32 @@ class SymmetryCertificate:
 
 
 def validate_symmetric(c: Channel) -> SymmetryCertificate:
-    """Find, for every input pair, an output bijection carrying one
-    conditional distribution onto the other.
+    """Find, for every input b, an output bijection carrying the conditional
+    distribution of input 0 onto that of b.
 
     Candidates are built by matching conditional distributions sorted by
     probability; ties are matched in index order, which is harmless because
     tied entries are interchangeable.  Every candidate is then verified entry
     by entry, so a returned certificate is sound regardless of how ties were
-    broken.  The verdict is the existence of all q^2 bijections.  Equal
-    column sums over all outputs are not required: an erasure output, fed
-    equally by every input, breaks them while leaving the channel perfectly
-    input-symmetric.
+    broken.  The verdict is the existence of these q bijections, and through
+    input 0 of one for every input pair; the certificate holds q of them,
+    not q^2, so it is as large as the table.  Equal column sums over all
+    outputs are not required: an erasure output, fed equally by every input,
+    breaks them while leaving the channel perfectly input-symmetric.
     """
     w = c.w
-    orders = [np.argsort(w[x], kind="stable") for x in range(c.q)]
+    first = np.argsort(w[0], kind="stable")
     bijections = {}
-    for a in range(c.q):
-        for b in range(c.q):
-            sigma = np.empty(c.outputs, dtype=np.int64)
-            sigma[orders[a]] = orders[b]
-            if np.max(np.abs(w[a] - w[b][sigma])) > 1e-12:
-                return SymmetryCertificate(
-                    ok=False,
-                    violation=(a, b),
-                    reason=f"no output bijection matches inputs {a} and {b}",
-                )
-            bijections[(a, b)] = sigma
+    for b in range(c.q):
+        sigma = np.empty(c.outputs, dtype=np.int64)
+        sigma[first] = np.argsort(w[b], kind="stable")
+        if np.max(np.abs(w[0] - w[b][sigma])) > 1e-12:
+            return SymmetryCertificate(
+                ok=False,
+                violation=(0, b),
+                reason=f"no output bijection matches inputs 0 and {b}",
+            )
+        bijections[(0, b)] = sigma
     return SymmetryCertificate(ok=True, bijections=bijections)
 
 
@@ -187,7 +188,8 @@ def sample_outputs(c: Channel, x, rng: np.random.Generator) -> np.ndarray:
 
     ``x`` holds input symbols in [0, q) (a ValueError otherwise).  Each entry
     draws one uniform r from ``rng``, and its output is the number of the
-    input row's cumulative thresholds cdf[x, 0..m-2] that r reaches.
+    input row's cumulative thresholds cdf[x, 0..m-2] that r reaches.  The
+    labels come in the smallest unsigned dtype that holds m - 1.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
@@ -196,7 +198,7 @@ def sample_outputs(c: Channel, x, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"channel inputs must lie in [0, {c.q})")
     cdf = np.cumsum(c.w, axis=1)
     r = rng.random(size=x.shape)
-    y = np.zeros(x.shape, dtype=np.int64)
+    y = np.zeros(x.shape, dtype=np.min_scalar_type(c.outputs - 1))
     for j in range(c.outputs - 1):
         y += r >= np.take(cdf[:, j], x)
     return y

@@ -17,25 +17,39 @@ element: a symbol within 1e-12 of the top posterior is a tie, so that float
 summation order never breaks an exact one.
 
 The decoder is fully batched.  A Monte Carlo experiment runs in fixed chunks
-of ``_CHUNK`` trials: chunk i draws, encodes, samples and decodes through one
-recursion from its own stream, child i of the caller's generator, so results
-depend only on (seed, trials) and memory on the chunk, not on the trial
-count.  Posteriors are symbol-major, shape (q, positions, words): a node's
-child s is one contiguous (q, sub * B) block, each of the q^k weight rows and
-every sum over them runs over sub * B contiguous values, and the leaf reads
-its (B, q) posteriors as a view.  They are gathered by received symbol from
-one (q, outputs) table of P(x | y).  The transforms around the recursion are
-position-major too: ``encode`` assembles u as (positions, words) in the
-smallest dtype that holds a symbol, the layout ``tensor_apply`` works in, and
-the recursion's (positions, words) codeword goes back through it as it is.
+of ``_CHUNK`` trials: chunk i draws, encodes, samples and decodes from its own
+stream, child i of the caller's generator, so results depend only on (seed,
+trials).  Decoding splits a chunk into word groups whose top kernel node
+weights, q^k * (N/k) floats per word, fit the "SC node weights" budget, so
+memory follows the group, not the trial count.  Posteriors are symbol-major,
+shape (q, positions, words): a node's child s is one contiguous (q, sub * B)
+block, each of the q^k weight rows and every sum over them runs over sub * B
+contiguous values, and the leaf reads its (B, q) posteriors as a view.  They
+are gathered by received symbol from one (q, outputs) table of P(x | y).  The
+transforms around the recursion are position-major too: ``encode``
+assembles u as (positions, words) in the smallest dtype that holds a symbol,
+the layout ``tensor_apply`` works in, and the recursion's (positions, words)
+codeword goes back through it as it is.
 
-Decoding skips two kinds of subtree whose output is known exactly (genie
-profiling keeps the full recursion).  An all-frozen subtree returns its own
-codeword, the depth-l transform of its frozen values, cached per code.  An
-all-information subtree returns the hard decisions argmax pi of its inputs
-when eta, the sum over its input positions of 1 - max_x pi(x), is below 1/4
-for every word of the batch.  Proof sketch, for
-any kernel over any F_q: at a node the hard-decision child word c* has weight
+Genie profiling needs no recursion: every decision is the truth, drawn before
+decoding starts, so no node waits for another, and each tree level, root
+first, is one set of array operations over all its nodes.  Posteriors are
+held truth-relative, pi'(c) = P(x + c | y) with x the transmitted symbol,
+gathered from one (q, q * outputs) table by the key x * outputs + y.  The
+kernel is linear, so in these coordinates kernel output v' weighs what
+v' + v_true weighed, conditioning on the true prefix keeps the leading block
+of q^(k-a) weights, and every child's truth is 0 again.  Only the leaves go
+back to the original coordinates, where the decision rule is applied as in
+decoding.  The pass runs over blocks of words within a chunk, sized so that
+the top level's weights take about ``_BLOCK_BYTES``: the working set stays
+in cache and memory follows the block.
+
+Decoding skips two kinds of subtree whose output is known exactly.  An
+all-frozen subtree returns its own codeword, the depth-l transform of its
+frozen values, cached per code.  An all-information subtree returns the hard
+decisions argmax pi of its inputs when eta, the sum over its input positions
+of 1 - max_x pi(x), is below 1/4 for every word of the batch.  Proof sketch,
+for any kernel over any F_q: at a node the hard-decision child word c* has weight
 prod_s pi_s(c*_s) >= 1 - sum_s eta_s, and conditioning on decisions that agree
 with v* = c*M only renormalises, so every child input is at least that sure of
 its v* digit and its own eta is at most the node's.  By induction every leaf's
@@ -69,8 +83,11 @@ __all__ = [
     "genie_error_rates",
 ]
 
-# trials per Monte Carlo chunk: one random stream and one SC recursion each
+# trials per Monte Carlo chunk: one random stream each
 _CHUNK = 1024
+# bytes of top-level float64 node weights per block of words in the genie
+# pass: small enough that a level's working set stays in cache
+_BLOCK_BYTES = 2**21
 # a decision takes the smallest symbol within this much of the top posterior:
 # the summation order alone must not break an exact tie
 _TIE = 1e-12
@@ -199,18 +216,24 @@ def _inverse(kernel: FqMatrix) -> FqMatrix:
     return kernel.inverse()
 
 
-def _v_table(kernel: FqMatrix):
-    """Per-kernel SC tables: the child word behind every kernel output.
+def _v_table(kernel: FqMatrix, n: int):
+    """Per-kernel SC tables, and how many words one pass over N = n may hold.
 
     For each kernel output v (in ``qary_words`` order) with child word
     c = v M^-1, ``order[v]`` splits the index of c into (index of
     c_0..c_{k-2}, c_{k-1}), so a node builds its combination weights straight
-    in v order; column v of the (k, q^k) ``words`` is c itself.  Tables of
-    more than 10^6 words are refused (BudgetExceeded) before the cache is
-    consulted, so a lowered budget holds for a kernel already cached.
+    in v order; column v of the (k, q^k) ``words`` is c itself.  ``group`` is
+    the number of words whose top kernel node weights, q^k * (n/k) floats
+    each, fit the "SC node weights" budget of 2^22 floats.  Tables of more
+    than 10^6 words, then single words over the weights budget, are refused
+    (BudgetExceeded) before the cache is consulted, so a lowered budget holds
+    for a kernel already cached.  Returns (order, words, group).
     """
-    check_budget("kernel node table", kernel.q**kernel.rows, 10**6)
-    return _node_table(kernel)
+    q, k = kernel.q, kernel.rows
+    check_budget("kernel node table", q**k, 10**6)
+    per_word = q**k * (n // k)
+    group = check_budget("SC node weights", per_word, 2**22) // max(1, per_word)
+    return (*_node_table(kernel), group)
 
 
 @lru_cache(maxsize=32)
@@ -239,7 +262,7 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     _, n, b = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
-    order, words = _v_table(kernel)
+    order, words, _ = _v_table(kernel, n)
     rate0, rate1 = (plan.rate0, plan.rate1) if plan is not None else ({}, frozenset())
 
     def node(pi, level, base):
@@ -255,27 +278,11 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
             return pi.argmax(axis=0)
         sub = pi.shape[1] // k
         m = sub * b
-        children = pi.reshape(q, k, m)
-        # weight of every q^k child-symbol combination; the last child's factor
-        # puts each row in kernel-output order (digit a of row v is v_a)
-        head = children[:, 0] if k > 1 else np.ones((1, m))
-        for s in range(1, k - 1):
-            head = (head[:, None] * children[None, :, s]).reshape(-1, m)
-        w = np.empty((q**k, m))
-        for row, (c, last) in enumerate(order):
-            np.multiply(head[c], children[last, k - 1], out=w[row])
-        del head  # (q^(k-1), m): not held through the children's recursion
+        w = _node_weights(pi.reshape(q, k, m), order)
         cols = np.arange(m)
         v = 0  # index of the decided kernel outputs so far
         for a in range(k):
-            law = w.reshape(q, -1, m).sum(axis=1)
-            total = law.sum(axis=0)
-            if not total.all():
-                # contradictory earlier decisions (weights are nonnegative, so
-                # only a zero total); fall back to uniform
-                law[:, total == 0.0] = 1.0
-                total = law.sum(axis=0)
-            d = node((law / total).reshape(q, sub, b), level - 1, base + a * sub).ravel()
+            d = node(_law(w, q).reshape(q, sub, b), level - 1, base + a * sub).ravel()
             v = v * q + d
             if a + 1 < k:
                 # keep the weights whose digit a is the decided symbol
@@ -287,19 +294,57 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     return node(pi, t, 0)
 
 
-def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
-    """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior.
+def _node_weights(children: np.ndarray, order) -> np.ndarray:
+    """Weight of every q^k child-symbol word of a kernel node, in v order.
 
-    Gathered from the (q, outputs) table w / (column totals): the same
-    operands, summed in the same order, as dividing each gathered w[x, y] by
-    its own sum over x.
+    ``children`` holds the k children's posteriors as (q, k, m); row v of the
+    (q^k, m) result is the product of the children's posteriors of the child
+    word v M^-1, with ``order`` from ``_v_table``, so digit a of a row index
+    is kernel output a.
+    """
+    q, k, m = children.shape
+    # the last child's factor puts each row in kernel-output order
+    head = children[:, 0] if k > 1 else np.ones((1, m))
+    for s in range(1, k - 1):
+        head = (head[:, None] * children[None, :, s]).reshape(-1, m)
+    w = np.empty((q**k, m))
+    for row, (c, last) in enumerate(order):
+        np.multiply(head[c], children[last, k - 1], out=w[row])
+    return w
+
+
+def _law(w: np.ndarray, q: int) -> np.ndarray:
+    """Normalised (q, m) law of the leading kernel output of (q^j, m) weights.
+
+    Sums over the trailing digits; where every weight is zero, the earlier
+    decisions contradict each other (weights are nonnegative, so only a zero
+    total) and the law falls back to uniform.
+    """
+    law = w.reshape(q, -1, w.shape[1]).sum(axis=1)
+    total = law.sum(axis=0)
+    if not total.all():
+        law[:, total == 0.0] = 1.0
+        total = law.sum(axis=0)
+    return law / total
+
+
+def _posterior_table(channel: Channel, y: np.ndarray) -> np.ndarray:
+    """The (q, outputs) table w / (column totals) of P(x | y), uniform prior.
+
+    Refuses received symbols in ``y`` with zero likelihood under every input.
+    Gathering from it uses the same operands, summed in the same order, as
+    dividing each gathered w[x, y] by its own sum over x.
     """
     total = channel.w.sum(axis=0)
     dead = total <= 0
     if dead.any() and np.take(dead, y).any():
         raise ValueError("received symbol with zero likelihood under every input")
-    table = channel.w / np.where(dead, 1.0, total)
-    return np.take(table, y.T, axis=1)
+    return channel.w / np.where(dead, 1.0, total)
+
+
+def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
+    """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior."""
+    return np.take(_posterior_table(channel, y), y.T, axis=1)
 
 
 def _check_field(q: int, channel: Channel):
@@ -391,15 +436,20 @@ def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarra
     """(B, N) decisions u of (B, N) received words, through the pruned plan.
 
     The plan answers every frozen index, so the leaf decides information
-    indices only.
+    indices only.  Words are decoded in groups that fit the "SC node
+    weights" budget (see ``_v_table``).
     """
+    group = _v_table(code.kernel, code.block_length)[2]
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
         return np.argmax(p - tie, axis=1)
 
-    x_hat = _sc(code.kernel, _channel_posteriors(channel, y), code.t, leaf, code._sc_plan)
-    return tensor_apply(code.kernel, code.t, x_hat.T)
+    x_hat = [
+        _sc(code.kernel, _channel_posteriors(channel, y[lo:lo + group]), code.t, leaf, code._sc_plan)
+        for lo in range(0, len(y), group)
+    ]
+    return tensor_apply(code.kernel, code.t, np.concatenate(x_hat, axis=1).T)
 
 
 def sc_decode(code: PolarCode, y) -> DecodeResult:
@@ -434,26 +484,62 @@ def genie_error_rates(
 ) -> np.ndarray:
     """Per-index decision-error frequencies with all previous symbols revealed.
 
-    Transmits known uniform data; at each index the SC decision is compared
-    with the truth and then replaced by it, so every index is profiled under
-    error-free conditioning.  Chunked like ``fer_experiment``: the estimate
-    depends only on (seed, trials), and ``rng`` itself draws nothing.
+    Transmits known uniform data; at each index the SC decision, under the
+    decoder's rule, is compared with the truth, conditioned on the true
+    values of all earlier indices.  Chunked like ``fer_experiment``: the
+    estimate depends only on (seed, trials), and ``rng`` itself draws
+    nothing.  Within a chunk, blocks of words pass through the tree level by
+    level in truth-relative coordinates (see the module docstring); the
+    truth-relative table's q * q * outputs entries fall under the channel
+    table budget of 10^7.
     """
+    _check_field(kernel.q, channel)
     if t < 0:
         raise ValueError("tensor depth must be nonnegative")
-    n = kernel.rows**t
+    q, k, outputs = kernel.q, kernel.rows, channel.outputs
+    n = k**t
+    check_budget("channel table", q * q * outputs, 10**7)
+    order = _v_table(kernel, n)[0]
     inv = _inverse(kernel)
+    symbol = np.min_scalar_type(q - 1)
+    key_type = np.min_scalar_type(q * outputs - 1)
+    width = max(1, _BLOCK_BYTES * k // (8 * q**k * n))
+    tie = _TIE * np.arange(q)
     errors = np.zeros(n, dtype=np.int64)
-    tie = _TIE * np.arange(kernel.q)
     for crng, size in _trial_chunks(rng, trials):
-        truth = crng.integers(0, kernel.q, size=(size, n))
-        y = sample_outputs(channel, tensor_apply(inv, t, truth), crng)
-
-        def leaf(i, p):
-            errors[i] += np.count_nonzero(np.argmax(p - tie, axis=1) != truth[:, i])
-            return truth[:, i]
-
-        _sc(kernel, _channel_posteriors(channel, y), t, leaf)
+        truth = crng.integers(0, q, size=(size, n))
+        x = tensor_apply(inv, t, truth).astype(symbol)
+        truth = truth.astype(symbol)
+        y = sample_outputs(channel, x, crng)
+        table = _posterior_table(channel, y)
+        # relative[c, x * outputs + y] = P(x + c | y)
+        relative = np.stack([np.roll(table, -s, axis=0) for s in range(q)], axis=1).reshape(q, -1)
+        for lo in range(0, size, width):
+            key = np.multiply(x[lo:lo + width], outputs, dtype=key_type)
+            key += y[lo:lo + width]
+            p = np.take(relative, key.T, axis=1)
+            b = p.shape[2]
+            for _ in range(t):
+                # p holds (q, undecided digits, decided digits, words): the
+                # leading position digit is every node's child index, so each
+                # child is one contiguous block, and the decided output digit
+                # goes in last
+                w = _node_weights(p.reshape(q, k, -1), order)
+                p = np.empty_like(p)
+                out = p.reshape(q, n // k, k, b)
+                for a in range(k):
+                    # the true prefix v'_0..v'_{a-1} = 0 is the leading block
+                    out[:, :, a] = _law(w[: q ** (k - a)], q).reshape(q, n // k, b)
+            # the decoder's rule in the original coordinates: symbol u + c
+            # scores p'(c) - tie[u + c], and u is wrong when another symbol
+            # beats its score, or ties it and is smaller (u + c wraps past q)
+            u = truth[lo:lo + width].T
+            best = p[0] - np.take(tie, u)
+            wrong = np.zeros(u.shape, dtype=bool)
+            for c in range(1, q):
+                score = p[c] - np.take(np.roll(tie, -c), u)
+                wrong |= (score > best) | ((score == best) & (u >= q - c))
+            errors += np.count_nonzero(wrong, axis=1)
     return errors / trials
 
 

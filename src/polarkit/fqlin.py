@@ -49,7 +49,8 @@ class BudgetExceeded(ValueError):
 def check_budget(what: str, cost: int, default: int):
     """Refuse an enumeration of ``cost`` items above its limit (BudgetExceeded).
 
-    The limit is POLARLAB_BUDGET when that is set, else ``default``.  Every
+    The limit is POLARLAB_BUDGET when that is set, else ``default``; it is
+    returned, so a caller can split work into pieces that each fit.  Every
     enumeration and channel table in the package is checked here before it
     starts, and this is the only reader of POLARLAB_BUDGET.
     """
@@ -64,6 +65,7 @@ def check_budget(what: str, cost: int, default: int):
             raise ValueError(f"{BUDGET_ENV} must be a positive integer; got {raw!r}")
     if cost > limit:
         raise BudgetExceeded(f"{what} budget exceeded: {cost} > {limit}")
+    return limit
 
 
 def is_prime(n: int) -> bool:

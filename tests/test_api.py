@@ -68,9 +68,11 @@ ARIKAN_POLYS = polarlab.erasure_polynomials(ARIKAN)
 ERASURE = channels.make_erasure(2, 0.3)
 HALF_ERASED = entropy.erasure_joint(2, 0.5)
 ARIKAN_CODE = codec.construct_code(ARIKAN, ERASURE, 1, rate=0.5, frozen_zero=True)
+ARIKAN_CODE_T2 = codec.construct_code(ARIKAN, ERASURE, 2, rate=0.5, frozen_zero=True)
 
-# one call per enumeration guard, each over a POLARLAB_BUDGET of 3; inputs
-# are built at import so that each call meets its own guard first
+# one call per enumeration guard, each over a POLARLAB_BUDGET of 3, or of
+# BUDGETS[what] where an earlier guard needs more to pass; inputs are built
+# at import so that each call meets its own guard first
 GUARDS = {
     "block length": lambda: codec.construct_code(ARIKAN, ERASURE, 2, rate=0.5, frozen_zero=True),
     "channel table": lambda: channels.make_erasure(2, 0.3),
@@ -80,7 +82,10 @@ GUARDS = {
     "source enumeration": lambda: kernelscope.ml_failure_exact(ARIKAN, 0.1),
     "entropy state": lambda: entropy.polar_entropies(ARIKAN, HALF_ERASED),
     "kernel node table": lambda: codec.sc_decode(ARIKAN_CODE, [0, 1]),
+    # the 4-word node table passes; one word weighs 4 * 2 floats
+    "SC node weights": lambda: codec.sc_decode(ARIKAN_CODE_T2, [0, 1, 0, 1]),
 }
+BUDGETS = {"SC node weights": 4}
 
 
 @pytest.mark.parametrize("what", list(GUARDS))
@@ -95,8 +100,9 @@ def test_every_enumeration_is_refused_by_check_budget(what, monkeypatch):
     for module in MODULES:
         if hasattr(module, "check_budget"):
             monkeypatch.setattr(module, "check_budget", recording)
-    monkeypatch.setenv("POLARLAB_BUDGET", "3")
-    with pytest.raises(BudgetExceeded, match=rf"^{what} budget exceeded: \d+ > 3$"):
+    budget = BUDGETS.get(what, 3)
+    monkeypatch.setenv("POLARLAB_BUDGET", str(budget))
+    with pytest.raises(BudgetExceeded, match=rf"^{what} budget exceeded: \d+ > {budget}$"):
         GUARDS[what]()
     assert calls[-1][0] == what
 

@@ -64,6 +64,9 @@ def test_symmetry_certificate_bijections_verify():
     c = make_erasure(3, 0.25)
     cert = validate_symmetric(c)
     assert cert.ok
+    # one bijection per input, from input 0: q^2 of them took q^2 * outputs
+    # entries, 7.9 GB for an F_997 erasure channel
+    assert sorted(cert.bijections) == [(0, b) for b in range(c.q)]
     for (a, b), sigma in cert.bijections.items():
         assert sorted(sigma.tolist()) == list(range(c.outputs))
         assert np.max(np.abs(c.w[a] - c.w[b][sigma])) <= 1e-12
@@ -167,6 +170,15 @@ def test_sampling_matches_the_full_comparison(c):
         got = sample_outputs(c, x, np.random.default_rng(seed + 10))
         assert got.shape == x.shape
         assert np.array_equal(got, sample_outputs_3d(c, x, np.random.default_rng(seed + 10)))
+
+
+@pytest.mark.parametrize("outputs, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_sampled_labels_take_the_smallest_unsigned_dtype(outputs, dtype):
+    c = Channel(3, np.full((3, outputs), 1 / outputs))
+    x = np.random.default_rng(3).integers(0, 3, size=(40, 50))
+    got = sample_outputs(c, x, np.random.default_rng(4))
+    assert got.dtype == dtype
+    assert np.array_equal(got, sample_outputs_3d(c, x, np.random.default_rng(4)))
 
 
 def test_row_sum_validation():

@@ -245,6 +245,16 @@ def test_simulate_refuses_a_channel_table_over_budget(channel, entries, monkeypa
     assert capsys.readouterr().err == f"error: channel table budget exceeded: {entries} > 10000000\n"
 
 
+def test_simulate_refuses_node_weights_over_budget(monkeypatch, capsys):
+    # one word of arikan over F_997 at t=4 weighs 997^2 * 8 floats at the top
+    # node; the whole recursion used to be killed for want of memory
+    monkeypatch.delenv("POLARLAB_BUDGET", raising=False)
+    args = ["simulate", "--kernel", "arikan", "--q", "997", "--channel", "erasure:0.3", "--t", "4",
+            "--rate", "0.5", "--trials", "10", "--seed", "1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: SC node weights budget exceeded: {997**2 * 8} > {2**22}\n"
+
+
 def test_exponents_b_min_checked_before_computation(monkeypatch, capsys):
     from polarkit import entropy
 

@@ -2,10 +2,12 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from polarkit import codec
 from polarkit.channels import Channel, make_erasure, make_qsc, sample_outputs
 from polarkit.cli import resolve_kernel
 from polarkit.codec import (
@@ -20,7 +22,7 @@ from polarkit.codec import (
     _decode_batch,
 )
 from polarkit.entropy import SymbolJoint, map_predictor
-from polarkit.fqlin import FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
+from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import evolve_tree
 
@@ -184,6 +186,10 @@ def test_kernel_and_channel_over_different_fields_rejected():
     code = construct_code(ARIKAN, make_erasure(2, 0.1), 3, rate=0.5, frozen_zero=True)
     with pytest.raises(ValueError, match=message):
         fer_experiment(code, make_qsc(3, 0.1), 10, np.random.default_rng(1))
+    # binary symbols are valid F_3 inputs: unchecked, the truth-relative
+    # gather would return wrong rates without an error
+    with pytest.raises(ValueError, match=message):
+        genie_error_rates(ARIKAN, make_qsc(3, 0.1), 3, 50, np.random.default_rng(1))
 
 
 def test_construct_erasure_info_set():
@@ -585,32 +591,79 @@ def test_sc_matches_reference_recursion(name, kind):
     assert np.array_equal(rates, ref_rates)
 
 
+def _block_bytes(kernel, t, words):
+    """A ``codec._BLOCK_BYTES`` that gives the genie pass ``words`` words per block."""
+    q, k = kernel.q, kernel.rows
+    return words * 8 * q**k * k**t // k
+
+
 @pytest.mark.parametrize("name", ["hamming7", "f3", "f2x4", "f11"])
-def test_genie_rates_do_not_depend_on_batch(name):
-    # the number of words decoded together sets the row length of every
-    # node's sums (down to one value per word), never a decision
+def test_genie_rates_do_not_depend_on_batch(name, monkeypatch):
+    # the words per block set the row length of every level's sums (down to
+    # one value per word), never a decision
     kernel, t = _reference_kernel(name)
-    n, ch = kernel.rows**t, make_qsc(kernel.q, 0.08)
-    rng = np.random.default_rng(53).spawn(1)[0]
-    u = rng.integers(0, kernel.q, size=(150, n))
-    pi = _channel_posteriors(ch, sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng))
-    tie = 1e-12 * np.arange(kernel.q)
+    ch = make_qsc(kernel.q, 0.08)
+    ref = oracle_genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53))
+    for words in (1, 7, 150):
+        monkeypatch.setattr(codec, "_BLOCK_BYTES", _block_bytes(kernel, t, words))
+        assert np.array_equal(genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53)), ref), words
 
-    def genie_errors(width):
-        errors = np.zeros((len(u), n), dtype=bool)
-        for lo in range(0, len(u), width):
-            truth = u[lo:lo + width]
 
-            def leaf(i, p):
-                errors[lo:lo + width, i] = np.argmax(p - tie, axis=1) != truth[:, i]
-                return truth[:, i]
+@pytest.mark.parametrize("t, trials", [(0, 300), (3, 1), (3, 1023), (3, 1025), (3, 2049)])
+@pytest.mark.parametrize("kind", ["qsc", "erasure-table"])
+def test_genie_matches_oracle_at_chunk_and_block_edges(kind, t, trials, monkeypatch):
+    # 7 words per block: a chunk of 1023 or 1025 trials ends on a short
+    # block, and 1025 or 2049 trials end on a one-trial chunk
+    kernel = _reference_kernel("f3")[0]
+    q = kernel.q
+    ch = make_qsc(q, 0.1) if kind == "qsc" else Channel(q, make_erasure(q, 0.3).w)
+    monkeypatch.setattr(codec, "_BLOCK_BYTES", _block_bytes(kernel, t, 7))
+    rates = genie_error_rates(kernel, ch, t, trials, np.random.default_rng(67))
+    assert np.array_equal(rates, oracle_genie_error_rates(kernel, ch, t, trials, np.random.default_rng(67)))
 
-            _sc(kernel, pi[:, :, lo:lo + width], t, leaf)
-        return errors
 
-    whole = genie_errors(len(u))
-    assert np.array_equal(genie_errors(1), whole) and np.array_equal(genie_errors(7), whole)
-    assert np.array_equal(whole.mean(axis=0), genie_error_rates(kernel, ch, t, 150, np.random.default_rng(53)))
+def test_genie_memory_follows_the_block():
+    # a whole-chunk recursion holds (q, N, 1024) posteriors and each level's
+    # node weights: 112 MB traced for one chunk of arikan t=10
+    ch = make_qsc(2, 0.05)
+    rng = np.random.default_rng(59)
+    genie_error_rates(ARIKAN, ch, 2, 10, rng)  # the node table and inverse are cached
+    tracemalloc.start()
+    try:
+        genie_error_rates(ARIKAN, ch, 10, 1024, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 10**6
+
+
+def test_genie_truth_relative_table_is_budgeted(monkeypatch):
+    # the (q, q * outputs) table: 2 * 2 * 2 entries for a binary qsc
+    monkeypatch.setenv("POLARLAB_BUDGET", "7")
+    with pytest.raises(BudgetExceeded, match=r"^channel table budget exceeded: 8 > 7$"):
+        genie_error_rates(ARIKAN, make_qsc(2, 0.1), 2, 10, np.random.default_rng(0))
+
+
+def test_grouped_decode_matches_the_whole_batch(monkeypatch):
+    # arikan t=8 weighs 4 * 128 = 512 floats per word at the top node; a
+    # budget of seven words' weights decodes 100 words in groups of 7
+    rng = np.random.default_rng(61)
+    code = construct_code(ARIKAN, make_erasure(2, 0.3), 8, rate=0.5, rng=rng)
+    y = sample_outputs(code.channel, encode(code, rng.integers(0, 2, size=(100, len(code.info)))), rng)
+    whole = _decode_batch(code, y, code.channel)
+    sizes = []
+
+    def recording(kernel, pi, t, leaf, plan=None):
+        sizes.append(pi.shape[2])
+        return _sc(kernel, pi, t, leaf, plan)
+
+    monkeypatch.setattr(codec, "_sc", recording)
+    monkeypatch.setenv("POLARLAB_BUDGET", str(7 * 512))
+    assert np.array_equal(_decode_batch(code, y, code.channel), whole)
+    assert sizes == [7] * 14 + [2]
+    monkeypatch.setenv("POLARLAB_BUDGET", "511")
+    with pytest.raises(BudgetExceeded, match=r"^SC node weights budget exceeded: 512 > 511$"):
+        _decode_batch(code, y, code.channel)
 
 
 def test_near_ties_go_to_the_smaller_symbol():
