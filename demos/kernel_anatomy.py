@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Walk through the structural analysis of a polar-code kernel.
 
-Shows the mixing test, the PLU factorization it rests on, and the
-constructive containment chain: every mixing kernel usefully contains the 2x2
+Shows the mixing test, the kernel's PLU factors, and the constructive
+containment chain: every mixing kernel usefully contains the 2x2
 lower-triangular matrix H, and the witness survives tensor squaring.  These
 witnesses are what turns "every mixing kernel polarizes exponentially" into
 something a program can check instance by instance.

@@ -240,7 +240,8 @@ def _v_table(kernel: FqMatrix, n: int):
 def _node_table(kernel: FqMatrix):
     q, k = kernel.q, kernel.rows
     words = qary_words(q, k) @ _inverse(kernel).arr % q
-    order = tuple(divmod(int(c), q) for c in words @ q ** np.arange(k - 1, -1, -1))
+    high, low = np.divmod(words @ q ** np.arange(k - 1, -1, -1), q)
+    order = tuple(zip(high.tolist(), low.tolist()))
     words = np.ascontiguousarray(words.T)
     words.flags.writeable = False
     return order, words
@@ -390,17 +391,18 @@ def construct_code(
         raise ValueError(f"threshold must be finite; got {threshold}")
 
     if channel.kind == "erasure":
-        estimates = evolve_tree(kernel, channel.param, t).values
+        rank_key = evolve_tree(kernel, channel.param, t).log_values  # distinct where z rounds to 1
+        estimates = np.exp(rank_key)
         method = "exact-erasure-tree"
     else:
         if rng is None:
             raise ValueError("genie construction needs an rng")
-        estimates = genie_error_rates(kernel, channel, t, genie_trials, rng)
+        rank_key = estimates = genie_error_rates(kernel, channel, t, genie_trials, rng)
         method = f"genie-mc-{genie_trials}"
 
     if rate is not None:
         n_info = int(round(rate * n))
-        order = np.argsort(estimates, kind="stable")
+        order = np.argsort(rank_key, kind="stable")
         frozen = np.sort(order[n_info:])
     else:
         frozen = np.flatnonzero(estimates > threshold)

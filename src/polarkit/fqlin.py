@@ -200,12 +200,10 @@ class FqMatrix:
         """Exact inverse; raises on non-square or singular input."""
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        k = self.rows
-        aug = np.hstack([self.arr, np.eye(k, dtype=np.int64)])
-        ech, pivots = row_echelon(aug, self.q, reduced=True, max_pivot_col=k)
-        if len(pivots) < k:
+        blocks = _augmented_echelon(self, reduced=True)  # [I | M^-1]
+        if blocks is None:
             raise ValueError("singular matrix")
-        return FqMatrix(self.q, ech[:, k:])
+        return FqMatrix(self.q, blocks[1])
 
 
 def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None):
@@ -575,32 +573,42 @@ class PluDecomposition:
     upper: FqMatrix
 
 
-def plu_decompose(m: FqMatrix) -> PluDecomposition:
-    """PLU with the first-nonzero pivot rule (deterministic).
+def _augmented_echelon(m: FqMatrix, reduced: bool = False):
+    """row_echelon of [M | I], pivoting in the first k columns, as its two blocks; None if singular.
 
-    Raises ValueError("not invertible") on singular input.
+    Reduced, they are (I, M^-1); otherwise (U1, E) with E @ M == U1 and U1 unit upper-triangular.
+    """
+    k = m.rows
+    ech, pivots = row_echelon(np.hstack([m.arr, np.eye(k, dtype=np.int64)]), m.q, reduced, max_pivot_col=k)
+    return (ech[:, :k], ech[:, k:]) if len(pivots) == k else None
+
+
+def _unit_lower(m: FqMatrix, u1: np.ndarray):
+    """(perm, L2, U1^-1) with M[perm] == L2 @ U1, for U1 from ``_augmented_echelon``.
+
+    Row r of E^-1 = M @ U1^-1 = P^T L2 ends at column perm^-1(r), on L2's diagonal.
+    """
+    u1_inv = FqMatrix(m.q, u1).inverse()
+    e_inv = m.arr @ u1_inv.arr % m.q
+    perm = np.argsort([np.flatnonzero(row)[-1] for row in e_inv])
+    return perm, e_inv[perm], u1_inv
+
+
+def plu_decompose(m: FqMatrix) -> PluDecomposition:
+    """PLU with the first-nonzero pivot rule (deterministic), read off row_echelon.
+
+    row_echelon's pivot rule is PLU's, so the echelon form [U1 | E] of [M | I]
+    has E = L2^-1 P, where M[perm] = P M = L2 @ U1 and L2 = L D with D =
+    diag(U) = diag(L2).  Hence L = L2 D^-1 and U = D U1.  Raises
+    ValueError("not invertible") on singular input.
     """
     if m.rows != m.cols:
         raise ValueError("plu_decompose requires a square matrix")
-    q = m.q
-    n = m.rows
-    a = m.arr.copy()
-    low = np.eye(n, dtype=np.int64)
-    perm = np.arange(n)
-    for col in range(n):
-        nz = np.nonzero(a[col:, col])[0]
-        if nz.size == 0:
-            raise ValueError("not invertible")
-        p = col + int(nz[0])
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
-            low[[col, p], :col] = low[[p, col], :col]
-        pinv = pow(int(a[col, col]), -1, q)
-        below = np.nonzero(a[col + 1 :, col])[0] + col + 1
-        if below.size:
-            mult = a[below, col] * pinv % q
-            low[below, col] = mult
-            a[below] = (a[below] - np.outer(mult, a[col])) % q
+    factors = _augmented_echelon(m)
+    if factors is None:
+        raise ValueError("not invertible")
+    perm, l2, _ = _unit_lower(m, factors[0])
+    d = np.diag(l2)
+    d_inv = np.array([pow(int(x), -1, m.q) for x in d], dtype=np.int64)
     perm.flags.writeable = False
-    return PluDecomposition(perm, FqMatrix(q, low), FqMatrix(q, a))
+    return PluDecomposition(perm, FqMatrix(m.q, l2 * d_inv), FqMatrix(m.q, d[:, None] * factors[0]))

@@ -24,12 +24,13 @@ from .fqlin import (
     BudgetExceeded,
     FqMatrix,
     _as_modulus,
+    _augmented_echelon,
+    _unit_lower,
     check_budget,
     field_inverse,
     kron,
     kron_power,
     min_weight_search,
-    plu_decompose,
     qary_words,
     row_echelon,
 )
@@ -62,22 +63,24 @@ _EXHAUSTIVE_COLUMNS = 16
 _EXHAUSTIVE_SUBSETS = 200_000
 
 
+def _mixing_echelon(m: FqMatrix):
+    """U1 of ``fqlin._augmented_echelon`` if M is mixing (some row of E has two nonzeros), else None."""
+    if m.rows != m.cols:
+        raise ValueError("mixing is defined for square matrices")
+    factors = _augmented_echelon(m)
+    return factors[0] if factors is not None and (np.count_nonzero(factors[1], axis=1) > 1).any() else None
+
+
 def is_mixing(m: FqMatrix) -> bool:
     """Mixing test: invertible and no row permutation is upper-triangular.
 
-    Tests whether the unit lower-triangular factor of the first-nonzero-pivot
-    PLU is non-diagonal.  With that pivot rule this is the definition: a
-    non-mixing matrix has exactly one candidate pivot row per column, so no
-    multiplier is ever produced.  The test suite cross-validates it against
-    the defining loop over all k! row permutations.
+    True when a row of E in the echelon form [U1 | E] of [M | I] has two
+    nonzeros, that is when first-nonzero-pivot elimination produces a
+    multiplier: a non-mixing matrix has one candidate pivot row per column,
+    so it never does.  The tests cross-validate it against all k! row
+    permutations.
     """
-    if m.rows != m.cols:
-        raise ValueError("mixing is defined for square matrices")
-    try:
-        dec = plu_decompose(m)
-    except ValueError:
-        return False
-    return bool(np.any(np.tril(dec.lower.arr, -1)))
+    return _mixing_echelon(m) is not None
 
 
 @dataclass(frozen=True)
@@ -137,46 +140,36 @@ def verify_witness(w: ContainmentWitness, m: FqMatrix) -> bool:
 def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
     """Constructive witness that a mixing M usefully contains H = [[1,0],[a,1]].
 
-    Follows the PLU route: split M[perm] = L2 @ U1 with U1 unit
-    upper-triangular, locate in the lower factor the last column s with two
-    nonzero entries and the last row r touching it, cancel everything between
-    them with the single-entry columns, and transport the resulting witness
-    back through U1.  The returned witness verifies against M itself.
+    Follows the PLU route, from the echelon form [U1 | E] of [M | I] that
+    also gives the mixing check: M[perm] = L2 @ U1 with E^-1 = P^T L2.  Locate
+    in L2 the last column s with two nonzero entries and the last row r
+    touching it, cancel everything between them with the single-entry
+    columns, and transport the resulting witness back through U1.  The
+    returned witness verifies against M itself.
     """
-    if not is_mixing(m):
+    u1 = _mixing_echelon(m)
+    if u1 is None:
         raise ValueError("no containment: matrix is not mixing")
-    q = m.q
-    k = m.rows
-    dec = plu_decompose(m)
-    diag = np.diag(dec.upper.arr).copy()
-    low2 = dec.lower.arr * diag[None, :] % q
-    inv_diag = np.array([field_inverse(d, q) for d in diag])
-    u1 = FqMatrix(q, inv_diag[:, None] * dec.upper.arr % q)
+    q, k = m.q, m.rows
+    perm, low2, u1_inv = _unit_lower(m, u1)
 
-    col_weights = (low2 != 0).sum(axis=0)
-    s = int(np.flatnonzero(col_weights >= 2)[-1])
+    s = int(np.flatnonzero((low2 != 0).sum(axis=0) >= 2)[-1])
     r = int(np.flatnonzero(low2[:, s])[-1])
 
     inv_ss = field_inverse(low2[s, s], q)
     t1 = np.zeros(k, dtype=np.int64)
     t1[s] = inv_ss
     for i in range(s + 1, r):
-        if low2[i, s]:
-            t1[i] = (-low2[i, s] * inv_ss * field_inverse(low2[i, i], q)) % q
+        t1[i] = (-low2[i, s] * inv_ss * field_inverse(low2[i, i], q)) % q
     t2 = np.zeros(k, dtype=np.int64)
     t2[r] = field_inverse(low2[r, r], q)
-    alpha_h = low2[r, s] * inv_ss % q
-    target = FqMatrix(q, [[1, 0], [alpha_h, 1]])
+    target = FqMatrix(q, [[1, 0], [low2[r, s] * inv_ss, 1]])
 
     rowsel = np.array([s, r] + [i for i in range(k) if i not in (s, r)])
-    w_low = ContainmentWitness(
-        target, rowsel, FqMatrix(q, np.column_stack([t1, t2])), alpha=int(t2[r])
-    )
+    w_low = ContainmentWitness(target, rowsel, FqMatrix(q, np.column_stack([t1, t2])), alpha=int(t2[r]))
     # L2 @ U1 = M[perm]; transporting by U1^{-1} rewrites the witness for it.
-    w_perm = transport_witness(w_low, u1.inverse())
-    witness = ContainmentWitness(
-        w_perm.target, dec.perm[w_perm.perm], w_perm.T, w_perm.alpha
-    )
+    w_perm = transport_witness(w_low, u1_inv)
+    witness = ContainmentWitness(w_perm.target, perm[w_perm.perm], w_perm.T, w_perm.alpha)
     if not verify_witness(witness, m):
         raise AssertionError("constructed containment witness failed verification")
     return witness
@@ -423,9 +416,8 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> 
     its default budget (POLARLAB_BUDGET, else 10^7 candidates) and raises
     BudgetExceeded beyond it.  The leading exponents come from
     ``polarlab.leading_exponents``: that search, or the 2^k pattern pass
-    where it is cheaper, which replaces the former k <= 20 cap.  Exponents
-    that neither fits are reported as None, as for a kernel that is not
-    mixing.
+    where it is cheaper.  Exponents that neither fits are reported as None,
+    as for a kernel that is not mixing.
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: e^-700 < 1e-304 cannot change a log-sum-exp's sum of at least 1; clamping
-#: exp's argument there keeps np.exp off its slow subnormal path.
+#: or skipping exp's argument there keeps np.exp off its slow subnormal path.
 _NEGLIGIBLE = -700.0
 
 #: Parent nodes per log_step call in evolve_tree, bounding its temporaries.
@@ -84,8 +84,9 @@ class ErasurePolynomialSet:
         f_j = sum_w c_j[w] x^w (1-x)^(k-w) and 1 - f_j = sum_w (C(k, w) -
         c_j[w]) x^w (1-x)^(k-w) are sums of nonnegative terms, so each is a
         log-sum-exp: the smaller side keeps full relative precision, x = 0
-        and 1 included.  The larger is rebuilt as ln(1 - e^smaller); summed,
-        it would double the inputs' error at each 2x - x^2 near x = 1.
+        and 1 included.  The larger is log1p(-e^smaller), as precise since
+        e^smaller <= 1/2 (0 below 1e-304); summed, it would double the inputs'
+        error at each 2x - x^2 near x = 1.
         """
         lx, ly, k = np.asarray(log_x, dtype=np.float64), np.asarray(log_1mx, dtype=np.float64), self.k
         # ln x^w (1-x)^(k-w); a zero power adds nothing, even to ln 0 = -inf
@@ -93,6 +94,8 @@ class ErasurePolynomialSet:
 
         def log_sum(weights):  # never empty: c_j[k] = 1 and C(k, 0) - c_j[0] = 1
             ws = np.flatnonzero(weights)
+            if ws.size == 1 and weights[ws[0]] == 1:  # a lone unit term is its own sum
+                return terms[ws[0]]
             top = np.maximum.reduce([terms[w] for w in ws])
             return top + np.log(sum(weights[w] * np.exp(np.fmax(terms[w] - top, _NEGLIGIBLE)) for w in ws))
 
@@ -101,7 +104,7 @@ class ErasurePolynomialSet:
             log_f = np.stack([log_sum(c) for c in self.counts], axis=-1)
             log_1mf = np.stack([log_sum(c) for c in binom - self.counts], axis=-1)
         small = np.minimum(log_f, log_1mf)
-        rebuilt = np.log(1.0 - np.exp(np.fmax(small, _NEGLIGIBLE)))
+        rebuilt = np.log1p(-np.exp(small, out=np.zeros_like(small), where=small > _NEGLIGIBLE))
         f_small = log_f <= log_1mf
         return np.where(f_small, small, rebuilt), np.where(f_small, rebuilt, small)
 
@@ -273,8 +276,8 @@ def evolve_tree(m, z0: float, t: int, return_all: bool = False):
 
     The value at index path (i_1..i_t) is f_{i_t}(...f_{i_1}(z0)...), laid out
     lexicographically, through ``log_step`` on _TREE_CHUNK parents at a time;
-    a level keeps ln z only.  Returns the level-t MartingaleTreeLevel, or the
-    whole list of levels 0..t with ``return_all``.
+    a level keeps ln z only.  Returns the level-t MartingaleTreeLevel, the
+    only level held, or the list of levels 0..t with ``return_all``.
     """
     polys = _coerce_polys(m)
     log_z, log_1mz = _log_start(z0, t, 1)
@@ -288,6 +291,8 @@ def evolve_tree(m, z0: float, t: int, return_all: bool = False):
                 side.ravel() for side in polys.log_step(log_z[parents], log_1mz[parents]))
         log_z, log_1mz = next_z, next_1mz
         log_z.flags.writeable = False
+        if not return_all:
+            levels.clear()
         levels.append(MartingaleTreeLevel(level, log_z))
     return levels if return_all else levels[-1]
 

@@ -20,7 +20,7 @@ def is_mixing_brute(m: FqMatrix) -> bool:
     """The defining mixing check, over all k! row permutations (small k only).
 
     Mixing means invertible with no row permutation upper-triangular;
-    ``kernelscope.is_mixing`` reads the same property off a PLU factor.
+    ``kernelscope.is_mixing`` reads the same property off one echelon form.
     """
     if not m.is_invertible():
         return False
@@ -29,6 +29,37 @@ def is_mixing_brute(m: FqMatrix) -> bool:
         all(not a[perm[i], :i].any() for i in range(m.rows))
         for perm in itertools.permutations(range(m.rows))
     )
+
+
+def plu_oracle(m: FqMatrix):
+    """(perm, lower, upper) arrays with m[perm] == lower @ upper, by its own elimination.
+
+    First-nonzero pivot per column, no pivot scaling, multipliers stored in
+    the unit lower factor; raises ValueError("not invertible") on a column
+    with no pivot.  ``fqlin.plu_decompose`` reads the same factors off
+    row_echelon and is tested against it.
+    """
+    q = m.q
+    n = m.rows
+    a = m.arr.copy()
+    low = np.eye(n, dtype=np.int64)
+    perm = np.arange(n)
+    for col in range(n):
+        nz = np.nonzero(a[col:, col])[0]
+        if nz.size == 0:
+            raise ValueError("not invertible")
+        p = col + int(nz[0])
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            perm[[col, p]] = perm[[p, col]]
+            low[[col, p], :col] = low[[p, col], :col]
+        pinv = pow(int(a[col, col]), -1, q)
+        below = np.nonzero(a[col + 1 :, col])[0] + col + 1
+        if below.size:
+            mult = a[below, col] * pinv % q
+            low[below, col] = mult
+            a[below] = (a[below] - np.outer(mult, a[col])) % q
+    return perm, low, a
 
 
 def left_null_space(m: FqMatrix) -> FqMatrix:

@@ -1,7 +1,9 @@
 """The public surface: no parameter without a caller, one budget check."""
 
 import dataclasses
+import importlib.util
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,3 +115,18 @@ def test_search_block_skips_only_budget_refusals(monkeypatch):
     monkeypatch.setenv("POLARLAB_BUDGET", "1e7")
     with pytest.raises(ValueError, match="POLARLAB_BUDGET must be a positive integer"):
         kernelscope._search_block(3, 4, 1, np.random.default_rng(0))
+
+
+def test_traced_bench_hooks_resolve():
+    """Every attribute ``perfbench/layers.py`` wraps exists under that name.
+
+    The traced bench replaces these module globals; renaming or deleting one
+    would otherwise surface only when the traced run starts.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.WRAPS
+    for module, attr, name, _ in layers.WRAPS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {name})"

@@ -1,8 +1,10 @@
 """Encoder/decoder identities, construction paths, failure-rate experiments."""
 
 import itertools
+import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from polarkit.codec import (
 from polarkit.entropy import SymbolJoint, map_predictor
 from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
 from polarkit.kernelscope import random_mixing
-from polarkit.polarlab import evolve_tree
+from polarkit.polarlab import erasure_polynomials, evolve_tree
 
 from helpers import channel_posteriors_entrywise
 
@@ -197,6 +199,28 @@ def test_construct_erasure_info_set():
     assert code.frozen.tolist() == [0]
     assert code.info.tolist() == [1]
     assert np.allclose(code.estimates, [0.75, 0.25])
+
+
+def test_erasure_construction_follows_the_exact_order():
+    """At z0 = 0.7, t = 10 the rate-3/4 cut lies where 1 - z ~ 1e-18 and z
+    rounds to 1: the frozen set must still be the exact ranking, from ln z.
+    """
+    t, rate = 10, 0.75
+    counts = erasure_polynomials(ARIKAN).counts
+    level = [Fraction(7, 10)]
+    for _ in range(t):
+        level = [
+            sum(int(c[w]) * x**w * (1 - x) ** (2 - w) for w in range(3))
+            for x in level
+            for c in counts
+        ]
+    want = np.array([
+        math.log(float(z)) if z <= Fraction(1, 2) else math.log1p(-float(1 - z)) for z in level
+    ])
+    np.testing.assert_allclose(evolve_tree(ARIKAN, 0.7, t).log_values, want, rtol=1e-12, atol=0)
+    ranked = sorted(range(len(level)), key=lambda i: (level[i], i))
+    code = construct_code(ARIKAN, make_erasure(2, 0.7), t, rate=rate, frozen_zero=True)
+    assert code.frozen.tolist() == sorted(ranked[round(rate * len(level)):])
 
 
 def test_construct_noiseless_all_info():

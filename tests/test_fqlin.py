@@ -19,7 +19,16 @@ from polarkit.fqlin import (
     tensor_apply,
 )
 
-from helpers import lead_class_weights_brute, left_null_space, random_invertible, tensor_apply_dense
+from polarkit.kernelscope import is_mixing
+
+from helpers import (
+    is_mixing_brute,
+    lead_class_weights_brute,
+    left_null_space,
+    plu_oracle,
+    random_invertible,
+    tensor_apply_dense,
+)
 
 
 def test_field_modulus_rejects_composites():
@@ -237,20 +246,42 @@ def test_plu_row_swap():
 
 
 def test_plu_roundtrip_random():
+    """PLU read off row_echelon equals the elimination oracle, factor for factor.
+
+    Random (often singular) and row-permuted upper-triangular matrices over
+    F_2..F_7; singular ones raise on both sides, and the mixing test agrees
+    with the k!-permutation definition (a permuted triangle never mixes).
+    """
     rng = np.random.default_rng(17)
-    count = 0
-    for q in (2, 3, 5):
-        for k in (2, 3, 4, 5, 6):
-            for _ in range(8):
-                m = random_invertible(q, k, rng)
+    count = singular = 0
+    for q in (2, 3, 5, 7):
+        for k in (1, 2, 3, 4, 5, 6):
+            for i in range(8):
+                if i % 2:
+                    a = np.triu(rng.integers(0, q, size=(k, k)))
+                    a[np.diag_indices(k)] = rng.integers(1, q, size=k)
+                    m = FqMatrix(q, a[rng.permutation(k)])
+                    assert not is_mixing(m)
+                else:
+                    m = FqMatrix(q, rng.integers(0, q, size=(k, k)))
+                assert is_mixing(m) == is_mixing_brute(m)
+                try:
+                    perm, low, up = plu_oracle(m)
+                except ValueError as err:
+                    assert str(err) == "not invertible"
+                    with pytest.raises(ValueError, match="not invertible"):
+                        plu_decompose(m)
+                    singular += 1
+                    continue
                 dec = plu_decompose(m)
-                low = dec.lower.arr
+                assert np.array_equal(dec.perm, perm)
+                assert np.array_equal(dec.lower.arr, low) and np.array_equal(dec.upper.arr, up)
                 assert np.array_equal(np.diag(low), np.ones(k, dtype=np.int64))
                 assert not np.triu(low, 1).any()
-                assert not np.tril(dec.upper.arr, -1).any()
-                assert np.array_equal(m.arr[dec.perm], low @ dec.upper.arr % q)
+                assert not np.tril(up, -1).any()
+                assert np.array_equal(m.arr[dec.perm], low @ up % q)
                 count += 1
-    assert count >= 100
+    assert count >= 100 and singular >= 10
 
 
 def test_plu_singular_raises():
