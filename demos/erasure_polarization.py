@@ -4,8 +4,9 @@
 The one-step law of the synthetic-entropy martingale is an integer-coefficient
 polynomial per output index (counting erasure patterns that leave the index
 undetermined), so density evolution here is exact, not simulated.  The script
-prints the polynomials, evolves the full index tree, and measures how much
-mass the polarization windows still hold level by level.
+prints the polynomials and the strong-suction pair they give at each end of
+[0, 1], evolves the full index tree, and measures how much mass the
+polarization windows still hold level by level.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import (
     erasure_polynomials,
     evolve_tree,
-    leading_exponents,
     local_profile,
     polarization_report,
     sample_paths,
@@ -28,11 +28,10 @@ def describe_kernel(m, name, z0=0.5, t_max=12):
     print("pattern counts c[j][w] (rows = output index, cols = pattern weight):")
     for j, row in enumerate(eps.counts):
         print(f"  j={j}: {row.tolist()}")
-    lead = leading_exponents(eps)
-    print(f"leading exponents d={lead.d.tolist()}, strong-suction pair "
-          f"(eta={lead.eta:.3f}, b={lead.b})")
-
-    prof = local_profile(m)
+    prof = local_profile(eps)
+    for end, lead in (("low", prof.low), ("high", prof.high)):
+        print(f"{end} end: leading exponents d={lead.d.tolist()}, strong-suction pair "
+              f"(eta={lead.eta:.3f}, b={lead.b})")
     print(f"variance in the middle: min over [0.05, 0.95] = {prof.min_variance():.5f}")
 
     levels = evolve_tree(m, z0, t_max, return_all=True)

@@ -463,7 +463,8 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
         Code whose frozen positions and values steer the decisions, and
         whose channel table converts y into posteriors.
     y : array-like of int, length N
-        Received word over the channel's output alphabet.
+        Received word over the channel's output alphabet; arrays of any
+        other kind, float and bool included, are refused.
 
     Returns
     -------
@@ -472,9 +473,11 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
         full u-domain estimate.
     """
     outputs = code.channel.outputs
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.shape != (code.block_length,):
         raise ValueError(f"received word must have length {code.block_length}")
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"received symbols must be integers; got an array of {y.dtype}")
     if np.any((y < 0) | (y >= outputs)):
         raise ValueError(f"received symbols must lie in [0, {outputs})")
     u_hat = _decode_batch(code, y[None, :], code.channel)[0]

@@ -29,7 +29,6 @@ __all__ = [
     "cond_entropy",
     "polar_entropies",
     "polarization_exponents",
-    "map_predictor",
     "consensus_predictor_error",
     "erasure_joint",
     "erasure_family",
@@ -62,10 +61,6 @@ class SymbolJoint:
     @property
     def m(self) -> int:
         return self.p.shape[1]
-
-    def drop_side_info(self) -> "SymbolJoint":
-        """Marginalize the side information away (m = 1 constant observer)."""
-        return SymbolJoint(self.q, self.p.sum(axis=1, keepdims=True))
 
     def __repr__(self):
         return f"SymbolJoint(q={self.q}, m={self.m})"
@@ -209,7 +204,7 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
     return EntropyProfile(h)
 
 
-def map_predictor(joint: SymbolJoint):
+def _map_predictor(joint: SymbolJoint):
     """Maximum-posterior predictor f(a) = argmax_u p(u|a) and its exact error.
 
     Ties break toward the smallest field element.  The error probability is
@@ -233,7 +228,7 @@ def consensus_predictor_error(joint: SymbolJoint) -> float:
     quadratically in the per-pair error.
     """
     q = joint.q
-    f, perr = map_predictor(joint)
+    f, perr = _map_predictor(joint)
     resid = np.zeros(q)
     shift = (np.arange(q)[:, None] - f[None, :]) % q
     np.add.at(resid, shift, joint.p)

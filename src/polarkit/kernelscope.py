@@ -43,7 +43,6 @@ __all__ = [
     "ColumnSearch",
     "is_mixing",
     "find_useful_containment_H",
-    "transport_witness",
     "tensor_witness",
     "verify_witness",
     "left_kernel_distance",
@@ -168,14 +167,14 @@ def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
     rowsel = np.array([s, r] + [i for i in range(k) if i not in (s, r)])
     w_low = ContainmentWitness(target, rowsel, FqMatrix(q, np.column_stack([t1, t2])), alpha=int(t2[r]))
     # L2 @ U1 = M[perm]; transporting by U1^{-1} rewrites the witness for it.
-    w_perm = transport_witness(w_low, u1_inv)
+    w_perm = _transport_witness(w_low, u1_inv)
     witness = ContainmentWitness(w_perm.target, perm[w_perm.perm], w_perm.T, w_perm.alpha)
     if not verify_witness(witness, m):
         raise AssertionError("constructed containment witness failed verification")
     return witness
 
 
-def transport_witness(w: ContainmentWitness, u: FqMatrix) -> ContainmentWitness:
+def _transport_witness(w: ContainmentWitness, u: FqMatrix) -> ContainmentWitness:
     """Carry a witness for R in M' to one for R in M' @ u^{-1}.
 
     ``u`` must be unit upper-triangular; then replacing T by u @ T preserves
@@ -467,11 +466,12 @@ def build_high_distance_kernel(q, k: int, b: int, rng: np.random.Generator | Non
     if k < 2:
         raise ValueError("kernels need at least two rows")
     if b == 0:
-        # Any mixing kernel qualifies (distance of an empty block is infinite);
-        # the lower-triangular all-ones matrix is the canonical choice.
+        # Any mixing kernel qualifies: an empty block's left kernel is all of
+        # F_q^k, of distance 1 > 2b.  The lower-triangular all-ones matrix is
+        # the canonical choice.
         m = FqMatrix(q, np.tril(np.ones((k, k), dtype=np.int64)))
         report = kernel_report(m, block_cols=0, metadata={"q": q, "k": k, "b": 0})
-        return BuiltKernel(m, 0, math.inf, report)
+        return BuiltKernel(m, 0, report.distance, report)
     if q == 2:
         m0_arr = _bch_block(k, b).arr
         dist = left_kernel_distance(FqMatrix(2, m0_arr))

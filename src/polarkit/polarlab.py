@@ -16,6 +16,12 @@ pattern contributes exactly |e| pivots).  Iterating the maps down a full
 index tree is exact density evolution; sampling uniform index paths gives
 the martingale view of the same object.
 
+Both ends of [0, 1] are read off the same counts.  Near 0, f_j(x) ~
+c_j[d] x^d with d the least weight of an undetermined pattern.  Near 1,
+1 - f_j(1 - x) has the coefficients C(k, w) - c_j[k - w], and these are the
+pattern counts of output k-1-j of the dual kernel M* = (M^-1)^T with rows
+and columns reversed: 1 - f_j^M(1 - x) = f_{k-1-j}^{M*}(x).
+
 The tree lives in log space: a node is the pair (ln z, ln(1 - z)), so deep
 leaves far below the smallest double neither underflow nor need a floor.
 """
@@ -184,21 +190,30 @@ def _coerce_polys(m) -> ErasurePolynomialSet:
 
 @dataclass(frozen=True)
 class LeadingExponents:
-    """Low-end decay orders d[j] = min weight of an undetermined pattern.
+    """Decay orders d[j] of the one-step maps at one end of [0, 1].
 
-    f_j(x) = constants[j] * x^d[j] + O(x^(d[j]+1)) near zero.  ``eta`` is the
-    fraction of indices with d >= 2 and ``b`` the smallest such order, the
-    empirical strong-suction pair (b is None when eta = 0).
+    g_j(x) = constants[j] * x^d[j] + O(x^(d[j]+1)) near zero, where g_j is
+    f_j at the low end and 1 - f_j(1 - x) at the high end; at the low end
+    d[j] is the least weight of a pattern that leaves output j undetermined.
+    ``eta`` is the fraction of indices with d >= 2 and ``b`` the smallest
+    such order, the strong-suction pair (b is None when eta = 0).
     """
 
     d: np.ndarray
     constants: np.ndarray
-    eta: float
-    b: int | None
+
+    @property
+    def eta(self) -> float:
+        return float((self.d >= 2).mean())
+
+    @property
+    def b(self) -> int | None:
+        strong = self.d[self.d >= 2]
+        return int(strong.min()) if strong.size else None
 
 
 def leading_exponents(m) -> LeadingExponents:
-    """Leading exponents of a kernel, or of its erasure polynomials.
+    """Low-end leading exponents of a kernel, or of its erasure polynomials.
 
     Given an ``ErasurePolynomialSet``, reads them off the pattern counts.
     Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
@@ -212,28 +227,24 @@ def leading_exponents(m) -> LeadingExponents:
     BudgetExceeded is raised.
     """
     if isinstance(m, ErasurePolynomialSet):
-        d, constants = _count_exponents(m.counts)
-    else:
-        d, constants = _kernel_exponents(m)
-    strong = d >= 2
-    eta = float(strong.mean())
-    b = int(d[strong].min()) if strong.any() else None
-    return LeadingExponents(d, constants, eta, b)
+        return _count_exponents(m.counts)
+    return _kernel_exponents(m)
 
 
-def _count_exponents(counts: np.ndarray):
+def _count_exponents(counts: np.ndarray) -> LeadingExponents:
+    """Leading exponents of the Bernstein polynomials with these coefficients."""
     d = (counts[:, 1:] > 0).argmax(axis=1) + 1
-    return d, counts[np.arange(len(counts)), d]
+    return LeadingExponents(d, counts[np.arange(len(counts)), d])
 
 
-def _kernel_exponents(m: FqMatrix):
+def _kernel_exponents(m: FqMatrix) -> LeadingExponents:
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
     k = m.rows
     if len(row_echelon(m.arr, m.q)[1]) < k:
         raise ValueError("singular kernel")
     try:
-        return min_weight_search(m, range(k), min(k * 2**k, DEFAULT_SEARCH_BUDGET))
+        return LeadingExponents(*min_weight_search(m, range(k), min(k * 2**k, DEFAULT_SEARCH_BUDGET)))
     except BudgetExceeded as search_refused:
         try:
             return _count_exponents(erasure_polynomials(m).counts)
@@ -368,23 +379,13 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
 
 
 @dataclass(frozen=True)
-class SuctionRow:
-    """Suction fractions for one contraction factor c at both boundary scans."""
-
-    c: int
-    tau_low: float
-    fraction_low: float
-    tau_high: float
-    fraction_high: float
-
-
-@dataclass(frozen=True)
 class LocalProfile:
-    """One-step variance curve and boundary suction table of a kernel."""
+    """One-step variance curve and leading exponents at both ends of a kernel."""
 
     grid: np.ndarray
     variance: np.ndarray
-    suction: list
+    low: LeadingExponents
+    high: LeadingExponents
 
     def min_variance(self) -> float:
         """Least variance over the grid points in [0.05, 0.95]."""
@@ -392,50 +393,18 @@ class LocalProfile:
         return float(self.variance[inside].min())
 
 
-#: Contraction factors c of local_profile's suction table.
-_SUCTION_FACTORS = (2, 4, 8, 16)
-#: local_profile's boundary scan runs over x = 2^-1 .. 2^-_SCAN_DEPTH.
-_SCAN_DEPTH = 20
-
-
 def local_profile(m) -> LocalProfile:
-    """Variance-in-the-middle curve plus suction fractions near both ends.
+    """Variance in the middle plus exact strong suction at both ends.
 
-    v(x) = mean_j (f_j(x) - x)^2 on the grid x = 0.01, 0.02, .., 0.99.  For
-    each factor c of _SUCTION_FACTORS the boundary scan walks x over
-    2^-1 .. 2^-_SCAN_DEPTH (and mirrored near 1), records the fraction of
-    indices moved by at least the factor c, and reports the largest scan
-    point from which that fraction has already stabilized at its smallest-x
-    value.
+    v(x) = mean_j (f_j(x) - x)^2 on the grid x = 0.01, 0.02, .., 0.99.
+    ``low`` describes f_j near x = 0 and ``high`` describes 1 - f_j(1 - x)
+    there, both read off the pattern counts: the latter map has the
+    coefficients C(k, w) - c_j[k - w].
     """
     polys = _coerce_polys(m)
     grid = np.linspace(0.01, 0.99, 99)
     fx = polys.evaluate(grid)
     variance = np.mean((fx - grid[..., None]) ** 2, axis=-1)
-
-    scan = 2.0 ** -np.arange(1, _SCAN_DEPTH + 1)
-    f_low = polys.evaluate(scan)
-    f_high = polys.evaluate(1.0 - scan)
-    rows = []
-    for c in _SUCTION_FACTORS:
-        frac_low = np.mean(f_low <= scan[:, None] / c, axis=1)
-        frac_high = np.mean(1.0 - f_high <= scan[:, None] / c, axis=1)
-        rows.append(
-            SuctionRow(
-                c,
-                _stabilized_tau(scan, frac_low),
-                float(frac_low[-1]),
-                1.0 - _stabilized_tau(scan, frac_high),
-                float(frac_high[-1]),
-            )
-        )
-    return LocalProfile(grid, variance, rows)
-
-
-def _stabilized_tau(scan: np.ndarray, fracs: np.ndarray) -> float:
-    """Largest scan point from which the fraction equals its deep-end value."""
-    limit = fracs[-1]
-    idx = len(fracs) - 1
-    while idx > 0 and fracs[idx - 1] == limit:
-        idx -= 1
-    return float(scan[idx])
+    binom = np.array([math.comb(polys.k, w) for w in range(polys.k + 1)])
+    high = binom - polys.counts[:, ::-1]
+    return LocalProfile(grid, variance, _count_exponents(polys.counts), _count_exponents(high))

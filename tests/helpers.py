@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from polarkit.entropy import SymbolJoint
 from polarkit.fqlin import FqMatrix, qary_words, row_echelon
 
 
@@ -14,6 +15,11 @@ def random_invertible(q, k: int, rng: np.random.Generator) -> FqMatrix:
         cand = FqMatrix(q, rng.integers(0, q, size=(k, k)))
         if cand.is_invertible():
             return cand
+
+
+def drop_side_info(joint: SymbolJoint) -> SymbolJoint:
+    """Marginalize the side information away (m = 1 constant observer)."""
+    return SymbolJoint(joint.q, joint.p.sum(axis=1, keepdims=True))
 
 
 def is_mixing_brute(m: FqMatrix) -> bool:

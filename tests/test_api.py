@@ -24,6 +24,8 @@ DELETED = {
     "kernelscope.extract_high_distance_columns": {"exhaustive_limit", "subset_budget"},
     "polarlab.local_profile": {"grid", "factors", "depth"},
     "polarlab.LocalProfile.min_variance": {"tau"},
+    # exact leading exponents at both ends replace the float suction scan
+    "polarlab.LocalProfile": {"suction"},
     "channels.make_table_channel": {"require_symmetric"},
     "channels.SymmetryCertificate": {"column_sums_equal"},
     # the log-space tree cannot underflow, so there is nothing to count
@@ -60,6 +62,7 @@ def test_deleted_parameters_stay_deleted():
     for attr in ("FieldModulus", "enumeration_budget"):
         assert not hasattr(fqlin, attr)
     assert not hasattr(polarlab, "UNDERFLOW_FLOOR")
+    assert not hasattr(polarlab, "SuctionRow")
     import polarkit
 
     assert "FieldModulus" not in polarkit.__all__
@@ -115,6 +118,14 @@ def test_search_block_skips_only_budget_refusals(monkeypatch):
     monkeypatch.setenv("POLARLAB_BUDGET", "1e7")
     with pytest.raises(ValueError, match="POLARLAB_BUDGET must be a positive integer"):
         kernelscope._search_block(3, 4, 1, np.random.default_rng(0))
+
+
+def test_helpers_without_outside_callers_stay_private():
+    # no caller outside their own module: the tests use the private names,
+    # and drop_side_info lives in tests/helpers.py
+    assert "map_predictor" not in entropy.__all__ and not hasattr(entropy, "map_predictor")
+    assert "transport_witness" not in kernelscope.__all__ and not hasattr(kernelscope, "transport_witness")
+    assert not hasattr(entropy.SymbolJoint, "drop_side_info")
 
 
 def test_traced_bench_hooks_resolve():

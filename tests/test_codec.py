@@ -23,7 +23,7 @@ from polarkit.codec import (
     sc_decode,
     _decode_batch,
 )
-from polarkit.entropy import SymbolJoint, map_predictor
+from polarkit.entropy import SymbolJoint, _map_predictor
 from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, kron_power, qary_words, row_echelon, tensor_apply
 from polarkit.kernelscope import random_mixing
 from polarkit.polarlab import erasure_polynomials, evolve_tree
@@ -497,6 +497,15 @@ def test_sc_decode_rejects_symbols_outside_alphabet(bad):
         sc_decode(code, y)
 
 
+@pytest.mark.parametrize("y", [[0.9, 1.7, 0.2, 2.6], [0.0, 1.0, 0.0, 2.0], [True, False, True, False]],
+                         ids=["fractional", "integral-float", "bool"])
+def test_sc_decode_rejects_non_integer_symbols(y):
+    # a cast would truncate [0.9, 1.7, 0.2, 2.6] to the word [0, 1, 0, 2]
+    code = construct_code(ARIKAN, make_erasure(2, 0.3), 2, rate=0.5, frozen_zero=True)
+    with pytest.raises(ValueError, match="received symbols must be integers; got an array of (float64|bool)"):
+        sc_decode(code, y)
+
+
 def test_wilson_interval_sane():
     ch = make_erasure(2, 0.3)
     code = construct_code(ARIKAN, ch, 6, rate=0.5, rng=np.random.default_rng(71))
@@ -512,7 +521,7 @@ def test_degenerate_kernel_reduces_to_map_predictor():
         kernel, ch, 1, rate=1.0, frozen_zero=True, rng=np.random.default_rng(97)
     )
     joint = SymbolJoint(3, ch.w / 3)
-    f, _ = map_predictor(joint)
+    f, _ = _map_predictor(joint)
     for y in range(3):
         res = sc_decode(code, np.array([y]))
         # decoder estimates u with x = u * 2; map predictor estimates x

@@ -9,6 +9,7 @@ import pytest
 from polarkit import kernelscope
 from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power, min_weight_search
 from polarkit.kernelscope import (
+    _transport_witness,
     build_high_distance_kernel,
     extract_high_distance_columns,
     find_useful_containment_H,
@@ -17,7 +18,6 @@ from polarkit.kernelscope import (
     ml_failure_exact,
     random_mixing,
     tensor_witness,
-    transport_witness,
     verify_witness,
     kernel_report,
 )
@@ -76,14 +76,14 @@ def test_containment_requires_mixing():
 
 def test_transport_identity_is_noop():
     w = find_useful_containment_H(ARIKAN)
-    moved = transport_witness(w, FqMatrix.identity(2, 2))
+    moved = _transport_witness(w, FqMatrix.identity(2, 2))
     assert moved.T == w.T and moved.alpha == w.alpha
 
 
 def test_transport_rejects_non_unit_triangular():
     w = find_useful_containment_H(ARIKAN)
     with pytest.raises(ValueError, match="unit upper-triangular"):
-        transport_witness(w, FqMatrix(2, [[1, 0], [1, 1]]))
+        _transport_witness(w, FqMatrix(2, [[1, 0], [1, 1]]))
 
 
 def test_transport_reverification():
@@ -95,7 +95,7 @@ def test_transport_reverification():
             w = find_useful_containment_H(m)
             u = np.triu(rng.integers(0, q, size=(4, 4)), 1) + np.eye(4, dtype=np.int64)
             u = FqMatrix(q, u)
-            moved = transport_witness(w, u)
+            moved = _transport_witness(w, u)
             target_matrix = m @ u.inverse()
             assert verify_witness(moved, target_matrix)
             assert moved.useful and moved.alpha == w.alpha
@@ -157,7 +157,8 @@ def test_build_high_distance_kernel_hamming7():
 def test_build_high_distance_kernel_b0():
     built = build_high_distance_kernel(2, 4, 0)
     assert built.block_cols == 0
-    assert built.distance == math.inf
+    # an empty block's left kernel is all of F_2^4, of distance 1
+    assert built.distance == built.report.distance == 1
     assert is_mixing_brute(built.matrix)
 
 

@@ -326,7 +326,10 @@ def test_fraction_exp_is_exact_below_the_smallest_double(t):
 def test_local_profile_identity():
     prof = local_profile(FqMatrix.identity(2, 2))
     assert np.allclose(prof.variance, 0.0, atol=1e-15)
-    assert all(row.fraction_low == 0.0 and row.fraction_high == 0.0 for row in prof.suction)
+    # f_j(x) = x: no index is sucked in faster than linearly at either end
+    for lead in (prof.low, prof.high):
+        assert lead.d.tolist() == [1, 1]
+        assert lead.eta == 0.0 and lead.b is None
 
 
 def test_local_profile_arikan():
@@ -335,9 +338,59 @@ def test_local_profile_arikan():
     x = prof.grid
     assert np.allclose(prof.variance, (x * (1 - x)) ** 2, rtol=0, atol=1e-15)
     assert prof.variance[np.isclose(x, 0.5)] == pytest.approx(0.0625, abs=1e-12)
-    for row in prof.suction:
-        assert row.fraction_low == pytest.approx(0.5)
-        assert row.fraction_high == pytest.approx(0.5)
+    # near 1: 1 - f_j(1 - x) = (x^2, 2x - x^2)
+    assert prof.low.d.tolist() == [1, 2] and prof.low.constants.tolist() == [2, 1]
+    assert prof.high.d.tolist() == [2, 1] and prof.high.constants.tolist() == [1, 2]
+    for lead in (prof.low, prof.high):
+        assert lead.eta == 0.5 and lead.b == 2
+
+
+def _duality_kernels():
+    """Random invertible kernels over F_2, F_3, F_5 and F_7 with k = 1..6."""
+    rng = np.random.default_rng(16)
+    for q in (2, 3, 5, 7):
+        for k in range(1, 7):
+            for _ in range(2):
+                yield random_invertible(q, k, rng)
+
+
+def _dual(m: FqMatrix) -> FqMatrix:
+    """M* = (M^-1)^T with rows and columns reversed."""
+    return FqMatrix(m.q, m.inverse().arr.T[::-1, ::-1])
+
+
+@pytest.mark.parametrize("m", list(_duality_kernels()), ids=lambda m: f"q{m.q}-k{m.rows}")
+def test_high_end_is_the_low_end_of_the_dual_kernel(m):
+    # 1 - f_j^M(1 - x) = f_{k-1-j}^{M*}(x), coefficient by coefficient
+    k, counts = m.rows, erasure_polynomials(m).counts
+    binom = np.array([math.comb(k, w) for w in range(k + 1)])
+    dual = erasure_polynomials(_dual(m))
+    assert np.array_equal(binom - counts[:, ::-1], dual.counts[::-1])
+    high, dual_low = local_profile(m).high, leading_exponents(dual)
+    assert high.d.tolist() == dual_low.d.tolist()[::-1]
+    assert high.constants.tolist() == dual_low.constants.tolist()[::-1]
+    assert (high.eta, high.b) == (dual_low.eta, dual_low.b)
+
+
+@pytest.mark.parametrize("m", [ARIKAN, kron(ARIKAN, ARIKAN), resolve_kernel("hamming7", 2),
+                               random_mixing(3, 4, np.random.default_rng(7))],
+                         ids=["arikan", "arikan2", "hamming7", "mixing-q3-k4"])
+def test_high_end_polynomial_matches_evaluate(m):
+    # the high end's Bernstein polynomial against 1 - f_j(1 - x) evaluated
+    # in floats, and its leading term against log_step's ln(1 - f_j) side,
+    # which keeps full relative precision where 1 - f_j is below 1e-16
+    polys = erasure_polynomials(m)
+    k = polys.k
+    binom = np.array([math.comb(k, w) for w in range(k + 1)])
+    high = binom - polys.counts[:, ::-1]
+    x = np.linspace(0.0, 1.0, 41)
+    bernstein = x[:, None] ** np.arange(k + 1) * (1 - x[:, None]) ** np.arange(k, -1, -1)
+    assert np.allclose(1.0 - polys.evaluate(1.0 - x), bernstein @ high.T, rtol=0, atol=1e-12)
+    lead = local_profile(polys).high
+    small = 2.0**-20
+    log_1mf = polys.log_step(np.log1p(-small), np.log(small))[1]
+    ratio = np.exp(log_1mf - np.log(lead.constants) - lead.d * np.log(small))
+    assert np.allclose(ratio, 1.0, rtol=0, atol=1e-4)
 
 
 def test_local_profile_mixing_variance_positive():
