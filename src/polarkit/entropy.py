@@ -2,11 +2,16 @@
 
 The central object is a joint law p(u, a) of one (symbol, side information)
 pair with u in F_q and a in a finite alphabet.  Given k i.i.d. pairs and an
-invertible kernel M, the engine enumerates every state (u, a) in F_q^k x [m]^k
-with its product weight and accumulates the exact joint law of the transform
-prefixes, yielding the per-index profile
+invertible kernel M, the engine yields the per-index profile
 
     h[j] = H( (uM)_j | (uM)_{<j}, a_1..a_k ) / log2(q).
+
+h[j] sees each side symbol only through its posterior up to a translation
+in F_q, so side symbols whose columns of p are cyclic translates of each
+other are first folded into one (``_fold``: m' classes, 2 for the erasure
+joints and 1 for the q-ary symmetric ones).  The engine then enumerates
+every state (u, a) in F_q^k x [m']^k with its product weight and accumulates
+the exact joint law of the transform prefixes.
 
 Entropies are normalized to [0, 1] by log2(q) throughout.  Everything here is
 exact enumeration; nothing is estimated from samples.
@@ -88,7 +93,7 @@ def channel_joint(channel) -> SymbolJoint:
 
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0]
-    return float(-np.sum(w * np.log2(w)))
+    return float(-(w * np.log2(w)).sum())
 
 
 def cond_entropy(joint: SymbolJoint) -> float:
@@ -136,45 +141,81 @@ def _level_entropy_nats(block: np.ndarray, t: np.ndarray) -> float:
         x = np.minimum(mode, block[:, d])
         mode = np.maximum(mode, block[:, d])
         r += x
-        nats += float(np.sum(x * np.log(np.divide(t, x, out=np.ones_like(x), where=x > 0))))
+        nats += float((x * np.log(np.divide(t, x, out=np.ones_like(x), where=x > 0))).sum())
     frac = np.divide(r, t, out=np.zeros_like(r), where=t > 0)
-    return nats - float(np.sum(mode * np.log1p(-frac)))
+    return nats - float((mode * np.log1p(-frac)).sum())
+
+
+def _fold(joint: SymbolJoint) -> np.ndarray:
+    """The (q, m') table of ``joint`` with translated side symbols merged.
+
+    Zero-mass columns are dropped, and columns that are exact cyclic
+    translates, p(., a') = p(. + s, a) for some s in F_q, become one column:
+    the class's canonical rotation (its lexicographically greatest, which
+    starts at a maximum entry) times the class size, so the masses add.
+    Equality is exact float equality.  This leaves every h[j] unchanged, for
+    any joint: given a^k, U's law is the product of the per-pair posteriors;
+    translating pair i's posterior by s_i translates U by s, and so V = UM
+    by sM; and H(V_j | V_<j) does not change when V is translated.  So h[j]
+    sees a^k only through its classes, whose masses add.
+    """
+    # + 0.0 turns -0.0 into 0.0, so equal columns have equal bytes
+    p = joint.p[:, joint.p.sum(axis=0) > 0] + 0.0
+    q, m = p.shape
+    # the greatest rotation starts at a maximum.  A constant column starts at
+    # 0; any other has q distinct rotations (q is prime), so offset by offset
+    # the candidates below their column's best drop out until one is left
+    top = p == p.max(axis=0)
+    top[1:, top.all(axis=0)] = False
+    col, start = np.nonzero(top.T)
+    for d in range(1, q):
+        if col.size == m:
+            break
+        x = p[(start + d) % q, col]
+        best = np.zeros(m)
+        np.maximum.at(best, col, x)
+        keep = x == best[col]
+        col, start = col[keep], start[keep]
+    rows = p.T[np.arange(m)[:, None], (start[:, None] + np.arange(q)) % q]
+    keys, counts = np.unique(rows.view(np.dtype((np.void, 8 * q))).ravel(), return_counts=True)
+    return (keys.view(np.float64).reshape(-1, q) * counts[:, None]).T
 
 
 def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
     """Exact entropy profile of the transform u -> uM under i.i.d. ``joint`` pairs.
 
-    Enumerates all (q*m)^k states once, within a budget of 1e7 states
-    (POLARLAB_BUDGET when set).  The product weights W[u, a] are built by
-    broadcasting, and since u -> uM is a bijection the exact law P[v, a] is
-    W with its rows gathered into v order.  Summing out
+    Enumerates all (q*m')^k states of the folded joint once (``_fold``: side
+    symbols whose columns are translates in F_q merge, which is exact), within
+    a budget of 1e7 states (POLARLAB_BUDGET when set).  The product weights
+    W[u, a] are built by broadcasting, and since u -> uM is a bijection the
+    exact law P[v, a] is W with its rows gathered into v order.  Summing out
     the last v digit of the prefix law P[v_<=j, a] gives P[v_<j, a], and
     h[j] is read off the same block directly as the weighted conditional
     entropy of v_j given (v_<j, a), with no difference of large entropies,
     so tiny h[j] keep full relative precision.  Levels are reduced in chunks
     of prefix rows, so at most the weights, one prefix law and bounded
-    temporaries are alive.  The chain rule sum(h) = k * H(U|A) is verified
-    internally to 1e-9 as a self-check.
+    temporaries are alive.  The chain rule sum(h) = k * H(U|A), with H(U|A)
+    from the unfolded joint, is verified internally to 1e-9 as a self-check.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
     if m.q != joint.q:
         raise ValueError("modulus mismatch between kernel and joint")
-    try:
-        inverse = m.inverse().arr
-    except ValueError:
-        raise ValueError("singular kernel") from None
     k = m.rows
     q = m.q
-    check_budget("entropy state", (q * joint.m) ** k, 10**7)
+    p = _fold(joint)
+    check_budget("entropy state", (q * p.shape[1]) ** k, 10**7)
 
-    p = joint.p
+    # row v = uM of P[v, a] is row u of W[u, a]; M is invertible exactly
+    # when every v is reached
+    order = np.full(q**k, -1)
+    order[(qary_words(q, k) @ m.arr % q) @ q ** np.arange(k - 1, -1, -1)] = np.arange(q**k)
+    if order.min() < 0:
+        raise ValueError("singular kernel")
     law = p
     for _ in range(k - 1):
         law = (p[:, None, :, None] * law[None, :, None, :]).reshape(q * law.shape[0], -1)
     n_a = law.shape[1]
-    # row v of P[v, a] is row u = v M^-1 of W[u, a]
-    order = (qary_words(q, k) @ inverse % q) @ q ** np.arange(k - 1, -1, -1)
     rows = max(1, _CHUNK // (q * n_a))
 
     h = np.empty(k)
@@ -187,7 +228,7 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
             span = slice(lo * q, hi * q)
             block = (law[span] if order is None else law[order[span]]).reshape(hi - lo, q, n_a)
             t = prefix_law[lo:hi]
-            np.sum(block, axis=1, out=t)
+            block.sum(axis=1, out=t)
             nats += _level_entropy_nats(block, t)
         h[j] = nats / math.log(q)
         law, order = prefix_law, None
@@ -197,7 +238,7 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
         raise RuntimeError(
             f"chain-rule self check failed: sum(h)={h.sum():.12f}, expected {expected:.12f}"
         )
-    if np.any(h < -1e-9) or np.any(h > 1.0 + 1e-9):
+    if h.min() < -1e-9 or h.max() > 1.0 + 1e-9:
         raise RuntimeError("entropy profile escaped [0, 1] beyond tolerance")
     h = np.clip(h, 0.0, 1.0)
     h.flags.writeable = False
@@ -290,8 +331,8 @@ def polarization_exponents(m: FqMatrix, family, deltas) -> ExponentReport:
     _FIT_POINTS smallest deltas, where constant contamination is weakest.
     """
     deltas = np.sort(np.asarray(deltas, dtype=np.float64))
-    if deltas.size < 3:
-        raise ValueError("need at least 3 grid points")
+    if np.unique(deltas).size < 3:
+        raise ValueError("need at least 3 distinct grid values")
     if np.any(deltas <= 0) or np.any(deltas >= 1):
         raise ValueError("grid values must lie in (0, 1)")
     profiles = []

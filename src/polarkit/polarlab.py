@@ -349,7 +349,7 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
 
     Windows are open intervals, so boundary values count as polarized.  Each
     leaf's ln z is compared with the log of each edge: -2^(lam*t) ln 2 for
-    the low edge, which stays finite however deep the level.
+    the low edge, or -inf once 2^(lam*t) overflows, which still excludes z = 0.
     """
     levels = [levels] if isinstance(levels, MartingaleTreeLevel) else list(levels)
     if not levels:
@@ -364,7 +364,12 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
     fractions = []
     for lev in levels:
         v, t = lev.log_values, lev.t
-        low = -(2.0 ** (lam * t)) * math.log(2.0)
+        try:
+            low = -(2.0 ** (lam * t)) * math.log(2.0)
+        except OverflowError:
+            # ln edge < -2^1024 ln 2, while f_j(x) >= x^k puts every leaf
+            # with z0 > 0 at ln z >= k^t ln z0, far above it
+            low = -math.inf
         # ln 0 = -inf; a negative threshold has ln nan, below which nothing lies
         with np.errstate(divide="ignore", invalid="ignore"):
             strong, high, below = np.log([gamma**t, 1.0 - gamma**t, threshold])

@@ -60,6 +60,12 @@ def test_polarize_csv(tmp_path):
     assert fractions[-1] <= fractions[2]  # decaying window mass
 
 
+def test_polarize_past_an_overflowing_low_edge(capsys):
+    # 2^(lambda t) = 2^1100 overflows a double; it used to exit 1 with an OverflowError
+    assert run_cli(["polarize", "--z", "0.5", "--t", "11", "--lambda", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "11,0.560546875,0.12109375,0.2919921875"
+
+
 def test_exponents_json(tmp_path):
     out = tmp_path / "exp.json"
     assert run_cli(["exponents", "--kernel", "arikan", "--deltas", "1e-2,1e-3,1e-4", "--out", str(out)]) == 0
@@ -179,6 +185,8 @@ def test_validation_error_exit_2(capsys):
     ["polarize", "--z", "0.5", "--t", "3", "--lambda", "nan"],
     ["polarize", "--z", "0.5", "--t", "3", "--threshold", "nan"],
     ["exponents", "--b-min", "nan"],
+    # a grid of one repeated value made a singular fit and exited 0
+    ["exponents", "--deltas=1e-2,1e-2,1e-2"],
     # no --matrix: --kernel takes the same inline JSON
     ["distance", "--matrix", '{"q": 2, "rows": 3, "cols": 1, "entries": [1, 1, 0]}'],
     # a binary kernel on F_3 channels
@@ -192,7 +200,7 @@ def test_validation_error_exit_2(capsys):
         "polarize-t-min-neg1", "polarize-t-min-neg4",
         "block-cols-too-wide", "cols-too-wide", "cols-negative",
         "construct-threshold-nan", "polarize-lambda-nan", "polarize-threshold-nan",
-        "exponents-b-min-nan", "distance-matrix", "construct-erasure-f3", "construct-qsc-f3",
+        "exponents-b-min-nan", "exponents-repeated-deltas", "distance-matrix", "construct-erasure-f3", "construct-qsc-f3",
         "simulate-erasure-f3", "simulate-qsc-f3"])
 def test_out_of_range_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2

@@ -2,15 +2,18 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polarkit import polarlab
 from polarkit.channels import make_qsc
+from polarkit.cli import resolve_kernel
 from polarkit.entropy import (
     SymbolJoint,
     _entropy_bits,
+    _fold,
     channel_joint,
     cond_entropy,
     consensus_predictor_error,
@@ -178,9 +181,92 @@ def test_singular_kernel_rejected():
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setenv("POLARLAB_BUDGET", "10")
-    # (q * m)^k = (2 * 3)^4 states
-    with pytest.raises(BudgetExceeded, match="entropy state budget exceeded: 1296 > 10"):
+    # (q * m')^k = (2 * 2)^4 states: the two revealing symbols fold into one
+    with pytest.raises(BudgetExceeded, match="entropy state budget exceeded: 256 > 10"):
         polar_entropies(FqMatrix.identity(2, 4), erasure_joint(2, 0.5))
+
+
+def test_budget_counts_folded_states():
+    # (2 * 3)^9 = 10,077,696 unfolded states exceed 10^7; (2 * 2)^9 = 262,144 fit
+    prof = polar_entropies(FqMatrix.identity(2, 9), erasure_joint(2, 0.3))
+    assert np.allclose(prof.h, 0.3, atol=1e-12)
+
+
+def test_fold_merges_translated_side_symbols():
+    # erasure: the q revealing columns are translates of one another and the
+    # erasure column is its own class; q-ary symmetric: all columns are
+    for q in (2, 3, 5):
+        assert _fold(erasure_joint(q, 0.3)).shape == (q, 2)
+        assert _fold(channel_joint(make_qsc(q, 0.1))).shape == (q, 1)
+        # a zero-mass column is dropped: the erasure column at z = 0, the
+        # revealing ones at z = 1
+        assert _fold(erasure_joint(q, 0.0)).shape == (q, 1)
+        assert _fold(erasure_joint(q, 1.0)).shape == (q, 1)
+    rng = np.random.default_rng(8)
+    for q, m in ((2, 3), (3, 4), (5, 6), (7, 3)):
+        joint = random_joint(q, m, rng)
+        folded = _fold(joint)
+        assert folded.shape == (q, m)
+        assert np.allclose(np.sort(folded.sum(axis=0)), np.sort(joint.p.sum(axis=0)), rtol=1e-15, atol=0)
+        # rotating and shuffling columns, and adding zero ones, changes nothing
+        moved = [np.roll(joint.p[:, a], int(rng.integers(q))) for a in rng.permutation(m)]
+        moved.append(np.zeros(q))
+        assert np.array_equal(_fold(SymbolJoint(q, np.array(moved).T)), folded)
+
+
+def test_fold_adds_masses_and_breaks_ties():
+    col = np.array([0.3, 0.1, 0.1]) / 2.0
+    p = np.array([col, np.roll(col, 1), np.zeros(3), np.full(3, 0.5 / 3)]).T
+    folded = _fold(SymbolJoint(3, p))
+    assert folded.shape == (3, 2)
+    assert sorted(folded.T.tolist()) == sorted([(2 * col).tolist(), np.full(3, 0.5 / 3).tolist()])
+    # tied maxima: the rotations from both start at 2, and the next entry decides
+    col = np.array([2.0, 0.0, 2.0, 1.0, 0.0])
+    p = np.array([np.roll(col, s) for s in range(5)]).T
+    assert _fold(SymbolJoint(5, p / p.sum())).tolist() == [[0.4], [0.2], [0.0], [0.4], [0.0]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_translated_columns_match_the_oracle(q):
+    # one random column and all its rotations, its reflection u -> -u (a
+    # rotation only over F_2) and a second random column, in shuffled order;
+    # the oracle enumerates the unfolded states
+    rng = np.random.default_rng(60 + q)
+    col = rng.random(q)
+    cols = [np.roll(col, s) for s in range(q)] + [col[-np.arange(q)], rng.random(q)]
+    p = np.array(cols).T
+    joint = SymbolJoint(q, p[:, rng.permutation(q + 2)] / p.sum())
+    assert _fold(joint).shape == (q, 2 if q == 2 else 3)
+    for _ in range(3):
+        m = random_mixing(q, 3, rng)
+        assert np.max(np.abs(polar_entropies(m, joint).h - polar_entropies_oracle(m, joint))) <= 1e-12
+
+
+def _h2(x):
+    return (-x * math.log(x) - (1.0 - x) * math.log1p(-x)) / math.log(2.0)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+def test_arikan_bsc_closed_forms(eps):
+    # v = (u0 + u1, u1): h[0] = h2(2e(1-e)); h[1] = H(U1 | U0 + U1, Y1, Y2)
+    s = (1.0 - eps) ** 2 + eps**2
+    exact = np.array([_h2(2 * eps * (1 - eps)), 2 * eps * (1 - eps) + s * _h2(eps**2 / s)])
+    got = polar_entropies(FqMatrix(2, [[1, 0], [1, 1]]), channel_joint(make_qsc(2, eps))).h
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,q", [("arikan", 2), ("arikan2", 2), ("hamming7", 2), ("arikan", 3), ("arikan", 5)])
+def test_erasure_profiles_match_exact_pattern_counts(name, q):
+    # h[j](delta) = f_j(delta) = sum_w c_j[w] delta^w (1 - delta)^(k - w),
+    # evaluated in exact arithmetic at the float delta
+    m = resolve_kernel(name, q)
+    counts, k = polarlab.erasure_polynomials(m).counts, m.rows
+    for d in (1e-2, 1e-3, 1e-4, 0.3):
+        x = Fraction(d)
+        exact = [sum(int(c) * x**w * (1 - x) ** (k - w) for w, c in enumerate(row)) for row in counts]
+        got = polar_entropies(m, erasure_joint(q, d)).h
+        worst = max(abs(float(Fraction(g) / e - 1)) for g, e in zip(got.tolist(), exact))
+        assert worst <= 1e-15, (d, worst)
 
 
 def test_map_predictor_trivial():
@@ -268,6 +354,14 @@ def test_exponents_squared_kernel_default_grid():
     m = FqMatrix(2, [[1, 0], [1, 1]])
     rep = polarization_exponents(kron(m, m), erasure_family(2), [1e-2, 1e-3, 1e-4])
     assert rep.exponents[3] == pytest.approx(4.0, abs=0.01)
+
+
+def test_exponents_need_three_distinct_deltas():
+    # a repeated grid value leaves the log-log fit singular
+    m = FqMatrix(2, [[1, 0], [1, 1]])
+    for grid in ([1e-2, 1e-2, 1e-2], [1e-2, 1e-3, 1e-3]):
+        with pytest.raises(ValueError, match="3 distinct"):
+            polarization_exponents(m, erasure_family(2), grid)
 
 
 def test_exponents_family_calibration_enforced():

@@ -323,6 +323,21 @@ def test_fraction_exp_is_exact_below_the_smallest_double(t):
     assert rep.fraction_exp[0] == inside / 2**t
 
 
+@pytest.mark.parametrize("t,lam", [(2, 600.0), (11, 100.0), (14, 80.0)])
+def test_fraction_exp_past_an_overflowing_low_edge(t, lam):
+    # 2^(lam t) overflows a double; the low edge then lies below every leaf
+    # with z > 0, so the window holds exactly the leaves under the high edge
+    gamma = 0.8
+    nums, e = arikan_half_numerators(t)
+    high = Fraction(1.0 - gamma**t)
+    top = high.numerator << e
+    inside = sum(1 for a in nums if 0 < a and a * high.denominator < top)
+    rep = polarization_report(evolve_tree(ARIKAN, 0.5, t), lam, gamma, 1e-6)
+    assert rep.fraction_exp[0] == inside / 2**t
+    # z = 0 stays outside the open window
+    assert polarization_report(evolve_tree(ARIKAN, 0.0, t), lam, gamma, 1e-6).fraction_exp[0] == 0.0
+
+
 def test_local_profile_identity():
     prof = local_profile(FqMatrix.identity(2, 2))
     assert np.allclose(prof.variance, 0.0, atol=1e-15)
