@@ -46,17 +46,24 @@ in cache and memory follows the block.
 
 Decoding skips two kinds of subtree whose output is known exactly.  An
 all-frozen subtree returns its own codeword, the depth-l transform of its
-frozen values, cached per code.  An all-information subtree returns the hard
-decisions argmax pi of its inputs when eta, the sum over its input positions
-of 1 - max_x pi(x), is below 1/4 for every word of the batch.  Proof sketch,
-for any kernel over any F_q: at a node the hard-decision child word c* has weight
-prod_s pi_s(c*_s) >= 1 - sum_s eta_s, and conditioning on decisions that agree
-with v* = c*M only renormalises, so every child input is at least that sure of
-its v* digit and its own eta is at most the node's.  By induction every leaf's
-top posterior exceeds 3/4, far outside the tie window, SC decides v* at every
-node, no node is dead, and the subtree's codeword is c*.  On erasure channels
-the certificate reads "no erased input".  The decisions u are recovered from
-the root codeword as x M^{tensor t}.
+frozen values, cached per code.  Any other subtree above the leaves, down to
+the maximal all-information ones, returns the hard decisions c* = argmax pi
+of its inputs when it carries a certificate on every word of the batch: eta,
+the sum over its input positions of 1 - max_x pi(x), is below 1/4, and
+u* = c* M^{tensor l} carries the code's frozen values at the subtree's frozen
+positions.  Proof sketch, for any kernel over any F_q: at a node the
+hard-decision child word c* has weight prod_s pi_s(c*_s) >= 1 - sum_s eta_s,
+and conditioning on decisions that agree with v* = c*M only renormalises, so
+every child input is at least that sure of its v* digit and its own eta is at
+most the node's.  By induction every leaf's top posterior exceeds 3/4, far
+outside the tie window, so SC decides each information index as u* does, and
+each frozen index agrees with u* by the second condition: every decision
+agrees with u*, no node is dead, and the subtree's codeword is c*.  Where the
+frozen values contradict u*, the word has already failed upstream and the
+subtree recurses.  On erasure channels eta < 1/4 reads "no erased input".  In
+a batch, word 0's eta is tested first: every word must pass, so the test
+over the whole batch runs only where word 0's passes.  The decisions u are
+recovered from the root codeword as x M^{tensor t}.
 """
 
 from __future__ import annotations
@@ -116,6 +123,15 @@ class PolarCode:
             arr = np.array(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # encode and the SC plan both read frozen_values[i] as the value of
+        # position frozen[i]
+        frozen, values, n = self.frozen, self.frozen_values, self.block_length
+        if frozen.ndim != 1 or values.shape != frozen.shape:
+            raise ValueError(f"need one frozen value per frozen index; got {values.size} for {frozen.size}")
+        if frozen.size and (frozen.min() < 0 or frozen.max() >= n):
+            raise ValueError(f"frozen indices must lie in [0, {n})")
+        if len(np.unique(frozen)) != len(frozen):
+            raise ValueError("frozen indices must be distinct")
 
     @property
     def q(self) -> int:
@@ -176,12 +192,18 @@ class _ScPlan(NamedTuple):
 
     ``rate0`` maps each maximal all-frozen subtree (level, base) to its local
     codeword, so every frozen index, a one-index subtree at least, is
-    answered there and never reaches the leaf; ``rate1`` holds the maximal
-    all-information subtrees above the leaves.
+    answered there and never reaches the leaf.  ``certify`` holds the nodes
+    above the leaves that try the certificate: every maximal all-information
+    subtree and every node with both kinds of index.  ``frozen`` and
+    ``values`` are the (N,) frozen mask and frozen values (0 elsewhere) that
+    the certificate reads by slicing a node's span, so the plan holds O(N)
+    entries and no per-node array.
     """
 
     rate0: dict
-    rate1: frozenset
+    certify: frozenset
+    frozen: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def build(cls, code: PolarCode) -> _ScPlan:
@@ -191,7 +213,7 @@ class _ScPlan(NamedTuple):
         values = np.zeros(n, dtype=np.int64)
         values[code.frozen] = code.frozen_values % code.q  # as encode reads them
         inv = _inverse(code.kernel)
-        rate0, rate1 = {}, set()
+        rate0, certify = {}, set()
 
         def visit(level, base):
             span = slice(base, base + k**level)
@@ -200,15 +222,16 @@ class _ScPlan(NamedTuple):
                 codeword = tensor_apply(inv, level, values[span])
                 codeword.flags.writeable = False
                 rate0[level, base] = codeword
-            elif not mask[span].any():
-                if level > 0:
-                    rate1.add((level, base))
-            else:
-                for a in range(k):
-                    visit(level - 1, base + a * k ** (level - 1))
+                return
+            if level > 0:
+                certify.add((level, base))
+                if mask[span].any():
+                    for a in range(k):
+                        visit(level - 1, base + a * k ** (level - 1))
 
         visit(code.t, 0)
-        return cls(rate0, frozenset(rate1))
+        mask.flags.writeable = values.flags.writeable = False
+        return cls(rate0, frozenset(certify), mask, values)
 
 
 @lru_cache(maxsize=32)
@@ -264,26 +287,53 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
     order, words, _ = _v_table(kernel, n)
-    rate0, rate1 = (plan.rate0, plan.rate1) if plan is not None else ({}, frozenset())
+    if plan is None:
+        rate0, certify = {}, frozenset()
+    else:
+        rate0, certify, frozen, values = plan
+
+    def certified(pi, level, base):
+        """c* = argmax pi when the certificate holds on every word, else None."""
+        # word 0 alone first: every word must pass, so a large batch pays the
+        # whole test only where word 0 passes
+        if b > 1 and not (1.0 - pi[:, :, 0].max(axis=0)).sum() < 0.25:
+            return None
+        top = pi.max(axis=0)
+        if not ((1.0 - top).sum(axis=0) < 0.25).all():
+            return None
+        # every top posterior exceeds 3/4, so argmax is the one symbol above 1/2
+        c = np.zeros(top.shape, dtype=np.int64)
+        for x in range(1, q):
+            c[pi[x] > 0.5] = x
+        # frozen decisions are fiat, so u* = c* M^{tensor level} must carry
+        # the frozen values
+        span = slice(base, base + len(top))
+        fixed = frozen[span]
+        if fixed.any() and not (tensor_apply(kernel, level, c.T)[:, fixed] == values[span][fixed]).all():
+            return None
+        return c
 
     def node(pi, level, base):
-        frozen = rate0.get((level, base))
-        if frozen is not None:
-            return frozen[:, None].repeat(b, axis=1)
-        # depth is tracked explicitly: with a 1x1 kernel every node has a
-        # single position yet still applies the kernel map once per level
-        if level == 0:
-            return leaf(base, pi[:, 0].T)[None]
-        # eta < 1/4 on every word certifies that SC decides argmax pi here
-        if (level, base) in rate1 and np.all((1.0 - pi.max(axis=0)).sum(axis=0) < 0.25):
-            return pi.argmax(axis=0)
+        if (level, base) in certify:
+            c = certified(pi, level, base)
+            if c is not None:
+                return c
         sub = pi.shape[1] // k
         m = sub * b
         w = _node_weights(pi.reshape(q, k, m), order)
         cols = np.arange(m)
         v = 0  # index of the decided kernel outputs so far
         for a in range(k):
-            d = node(_law(w, q).reshape(q, sub, b), level - 1, base + a * sub).ravel()
+            child = base + a * sub
+            frozen_child = rate0.get((level - 1, child))
+            if frozen_child is not None:
+                d = frozen_child.repeat(b)
+            # depth is tracked explicitly: with a 1x1 kernel every node has a
+            # single position yet still applies the kernel map once per level
+            elif level == 1:
+                d = leaf(child, _law(w, q).T)
+            else:
+                d = node(_law(w, q).reshape(q, sub, b), level - 1, child).ravel()
             v = v * q + d
             if a + 1 < k:
                 # keep the weights whose digit a is the decided symbol
@@ -292,6 +342,11 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
         # child codeword symbols of the decided kernel outputs
         return np.take(words, v, axis=1).reshape(k * sub, b)
 
+    root = rate0.get((t, 0))
+    if root is not None:
+        return root[:, None].repeat(b, axis=1)
+    if t == 0:
+        return leaf(0, pi[:, 0].T)[None]
     return node(pi, t, 0)
 
 
@@ -321,9 +376,11 @@ def _law(w: np.ndarray, q: int) -> np.ndarray:
     decisions contradict each other (weights are nonnegative, so only a zero
     total) and the law falls back to uniform.
     """
-    law = w.reshape(q, -1, w.shape[1]).sum(axis=1)
+    law = w if len(w) == q else w.reshape(q, -1, w.shape[1]).sum(axis=1)
     total = law.sum(axis=0)
     if not total.all():
+        if law is w:
+            law = w.copy()
         law[:, total == 0.0] = 1.0
         total = law.sum(axis=0)
     return law / total

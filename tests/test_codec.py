@@ -165,6 +165,16 @@ def decode_recording_posteriors(code, y, ch):
     return tensor_apply(code.kernel, code.t, x_hat.T), posteriors
 
 
+def reference_decode(code, y, ch):
+    """``_ScEngine``'s decisions u for (B, N) words under the code's frozen set."""
+    frozen_mask = np.zeros(code.block_length, dtype=bool)
+    frozen_mask[code.frozen] = True
+    frozen_values = np.zeros(code.block_length, dtype=np.int64)
+    frozen_values[code.frozen] = code.frozen_values % code.q
+    pi = word_major(_channel_posteriors(ch, y))
+    return _ScEngine(code.kernel).run(pi, code.t, frozen_mask=frozen_mask, frozen_values=frozen_values)[0]
+
+
 def oracle_genie_error_rates(kernel, channel, t, trials, rng):
     n = kernel.rows**t
     engine = _ScEngine(kernel)
@@ -260,6 +270,21 @@ def test_frozen_values_act_mod_q():
     x = encode(wide, msgs)
     assert np.array_equal(x, encode(narrow, msgs))
     assert np.array_equal(_decode_batch(wide, x, ch), _decode_batch(narrow, x, ch))
+
+
+@pytest.mark.parametrize("frozen, values, message", [
+    # a repeat was encoded and decoded silently, and counted twice by rate
+    ([0, 0, 1], [0, 0, 0], "frozen indices must be distinct"),
+    # -1 aliased position 3: information to encode, frozen to the SC plan
+    ([-1, 0], [1, 0], r"frozen indices must lie in \[0, 4\)"),
+    # failed only inside sc_decode, with an IndexError
+    ([1, 4], [0, 0], r"frozen indices must lie in \[0, 4\)"),
+    # failed only inside encode, with a broadcast error
+    ([0, 1], [0, 1, 1], "need one frozen value per frozen index; got 3 for 2"),
+], ids=["repeated", "negative", "beyond_n", "values_length"])
+def test_code_rejects_an_inconsistent_frozen_set(frozen, values, message):
+    with pytest.raises(ValueError, match=message):
+        PolarCode(ARIKAN, 2, make_erasure(2, 0.3), frozen, values, np.zeros(4))
 
 
 def test_construct_threshold_variant():
@@ -716,8 +741,8 @@ def test_near_ties_go_to_the_smaller_symbol():
     assert np.all(u_hat[:, code.info][near] == 0)
 
 
-# The decode path prunes all-frozen and certified all-information subtrees;
-# its decisions must equal the full reference recursion bit for bit.
+# The decode path prunes all-frozen subtrees and certified subtrees; its
+# decisions must equal the full reference recursion bit for bit.
 
 
 def _pruning_case(name, frozen_kind, rng):
@@ -767,9 +792,9 @@ def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
 
 
 def _leaf_calls(code, y, ch):
-    """Decode an all-frozen or all-information code through its plan.
+    """Decode (B, N) words through the code's plan.
 
-    Returns the codeword and the indices the leaf was called for.
+    Returns the (B, N) codeword and the indices the leaf was called for.
     """
     calls = []
     tie = 1e-12 * np.arange(code.q)
@@ -783,7 +808,7 @@ def _leaf_calls(code, y, ch):
 
 
 @pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
-def test_pruning_shortcuts_fire(name):
+def test_pruning_shortcuts_fire(name, monkeypatch):
     rng = np.random.default_rng(47)
     kernel, t = _reference_kernel(name)
     q, n = kernel.q, kernel.rows**t
@@ -811,3 +836,46 @@ def test_pruning_shortcuts_fire(name):
     y[:, 0] = erasure.erasure_symbol
     _, calls = _leaf_calls(code, y, erasure)
     assert 0 in calls
+
+    # a mixed code on noiseless words that carry its frozen values: the
+    # root's certificate holds, so no leaf and no kernel node runs
+    _, _, frozen, values = _pruning_case(name, "tree", rng)
+    code = PolarCode(kernel, t, noiseless, frozen, values, np.zeros(n))
+    u[:, frozen] = values
+    x = tensor_apply(inv, t, u)
+    nodes = []
+    node_weights = codec._node_weights
+    monkeypatch.setattr(codec, "_node_weights", lambda *args: nodes.append(1) or node_weights(*args))
+    x_hat, calls = _leaf_calls(code, x, noiseless)
+    assert calls == [] and nodes == []
+    assert np.array_equal(x_hat, x)
+
+    # one word contradicts the last frozen value: u* fails the frozen check
+    # for the batch, the information indices after it meet a dead node and
+    # their leaves run, and SC's decisions stand
+    u[3, frozen[-1]] = (values[-1] + 1) % q
+    x = tensor_apply(inv, t, u)
+    x_hat, calls = _leaf_calls(code, x, noiseless)
+    assert calls and nodes
+    assert np.array_equal(tensor_apply(kernel, t, x_hat), reference_decode(code, x, noiseless))
+
+
+def test_dead_nodes_at_high_fer_match_reference_recursion(monkeypatch):
+    # erasure(0.45) at rate 0.6 sits far above capacity: nearly every frame
+    # fails, certificates meet wrong upstream decisions, and contradictory
+    # decisions leave nodes with no weight at all
+    rng = np.random.default_rng(71)
+    ch = make_erasure(2, 0.45)
+    code = construct_code(ARIKAN, ch, 8, rate=0.6, rng=rng)
+    messages = rng.integers(0, 2, size=(300, len(code.info)))
+    y = sample_outputs(ch, encode(code, messages), rng)
+    dead = []
+    law = codec._law
+    monkeypatch.setattr(codec, "_law", lambda w, q: dead.append(not w.sum(axis=0).all()) or law(w, q))
+
+    u_hat = _decode_batch(code, y, ch)
+    singles = np.concatenate([_decode_batch(code, y[i:i + 1], ch) for i in range(len(y))])
+    ref_u = reference_decode(code, y, ch)
+    assert np.array_equal(u_hat, ref_u) and np.array_equal(singles, ref_u)
+    assert np.any(u_hat[:, code.info] != messages, axis=1).sum() >= 290
+    assert any(dead)
