@@ -38,9 +38,6 @@ __all__ = [
 #: Environment variable that sets the limit of every enumeration in the package.
 BUDGET_ENV = "POLARLAB_BUDGET"
 
-#: Default cap on the candidates one min_weight_search may enumerate.
-DEFAULT_SEARCH_BUDGET = 10**7
-
 
 class BudgetExceeded(ValueError):
     """An enumeration was refused before it started: it would exceed its budget."""
@@ -81,6 +78,8 @@ def is_prime(n: int) -> bool:
 
 
 def _as_modulus(q) -> int:
+    if not isinstance(q, (int, np.integer)):
+        raise ValueError(f"modulus must be an integer; got {q!r}")
     q = int(q)
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
@@ -102,7 +101,8 @@ def field_inverse(a: int, q) -> int:
 class FqMatrix:
     """Dense matrix over F_q backed by an immutable int64 array.
 
-    Entries are reduced mod q at construction and after every operation.
+    Entries must be integers (a ValueError otherwise, unless there are
+    none) and are reduced mod q at construction and after every operation.
     Instances are immutable; all methods return new matrices.
     """
 
@@ -110,7 +110,10 @@ class FqMatrix:
 
     def __init__(self, q, entries):
         object.__setattr__(self, "q", _as_modulus(q))
-        arr = np.array(entries, dtype=np.int64) % self.q
+        arr = np.asarray(entries)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"matrix entries must be integers; got an array of {arr.dtype}")
+        arr = arr.astype(np.int64) % self.q
         if arr.ndim != 2:
             raise ValueError("entries must form a two-dimensional array")
         arr.flags.writeable = False
@@ -138,7 +141,7 @@ class FqMatrix:
     @classmethod
     def from_dict(cls, d: dict) -> "FqMatrix":
         """Parse the matrix literal format {"q", "rows", "cols", "entries"}."""
-        arr = np.asarray(d["entries"], dtype=np.int64).reshape(d["rows"], d["cols"])
+        arr = np.asarray(d["entries"]).reshape(d["rows"], d["cols"])
         return cls(d["q"], arr)
 
     def to_dict(self) -> dict:
@@ -245,7 +248,7 @@ def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None
     return a, pivots
 
 
-def min_weight_search(a: FqMatrix, classes=None, budget=None):
+def min_weight_search(a: FqMatrix, classes=None):
     """Least Hamming weight of nonzero y in each lead class of yA, exactly.
 
     The lead class of y is the index of the first nonzero entry of yA, or
@@ -265,16 +268,19 @@ def min_weight_search(a: FqMatrix, classes=None, budget=None):
     rows of A already hold a y in it.  Each class is then filled by the
     cheaper of two exact enumerations:
 
-    - every y of weight 1, 2, ..., w, first nonzero entry 1, layer by layer;
-      one pass serves every class whose bound is at most w and stops after
-      the first layer in which all of them have appeared;
+    - the supports of weight 1, 2, ..., w, C(k, v) in layer v: a class's
+      least weight is the first layer in which a support reaches it, and its
+      count is how many supports of that layer do.  Over F_2 a support is
+      one y; over larger fields ``_pattern_layers`` reads the classes a
+      support reaches off a row reduction of A[e, :].  One pass serves every
+      class whose bound is at most w and stops after the first layer in
+      which all of them have appeared;
     - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each.
 
     w minimises the candidate count of the whole plan, and ``check_budget``
-    refuses that count before anything is enumerated; ``budget`` is its
-    default limit (10^7 when None).  Both enumerations add two precomputed
-    sets of vectors pairwise, _SEARCH_CHUNK candidates or so per numpy step,
-    so memory stays bounded whatever the count.
+    refuses that count above 10^7 before anything is enumerated.  Each
+    numpy step takes _SEARCH_CHUNK candidates or so, so memory stays
+    bounded, apart from the pattern layers kept.
     """
     q, k, n = a.q, a.rows, a.cols
     classes = np.arange(n + 1) if classes is None else np.asarray(list(classes), dtype=np.int64)
@@ -291,34 +297,23 @@ def min_weight_search(a: FqMatrix, classes=None, budget=None):
             coset_cost[c] = coset_cost.get(c, 0) + q ** (k - 1 - i)
 
     depth, cost = _plan(bound, coset_cost, k, q)
-    check_budget("minimum-weight search", cost, DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    check_budget("minimum-weight search", cost, 10**7)
 
     # limit[c] is k + 1 while a wanted class is unseen, then its least weight
     # so far; it is 0 for the other classes, which filters them out for free
     limit = np.zeros(n + 1, dtype=np.int64)
     limit[list(wanted)] = k + 1
-    seen = {c: set() for c in wanted}
-    dtype = np.min_scalar_type(q - 1)
-
-    for v in range(1, depth + 1):
+    found = {}  # class: number of least-weight supports
+    for v, reach in _binary_layers(a.arr, depth) if q == 2 else _pattern_layers(a.arr, q, depth):
+        for c in wanted:
+            if limit[c] > k and reach[c]:
+                limit[c], found[c] = v, int(reach[c])
         if all(limit[c] <= k for c in bound if bound[c] <= depth):
             break
-        # y = (y_left, y_right) with the first nonzero entry a 1 in y_left,
-        # or in y_right when y_left = 0; a small layer is one block
-        half = k if _layer_size(k, q, v) <= _SEARCH_CHUNK else k // 2
-        for left in range(max(0, v - (k - half)), min(v, half) + 1):
-            xs, x_supp = _weight_layer(a.arr[:half], q, left, normalized=True)
-            ys, y_supp = _weight_layer(a.arr[half:], q, v - left, normalized=left == 0)
-            # one more column, 0 on the left and 1 on the right, puts the lead
-            # of an all-zero yA at class n
-            xs = np.hstack([xs, np.zeros((len(xs), 1), dtype=dtype)])
-            ys = np.hstack([ys, np.ones((len(ys), 1), dtype=dtype)])
-            for i0, j0, nz in _pair_supports(xs, ys, q):
-                lead = nz.argmax(axis=2)
-                _absorb(limit, seen, lead, v, lambda i, j: np.hstack([x_supp[i0 + i], y_supp[j0 + j]]))
 
     todo = [c for c in bound if bound[c] > depth and limit[c] > k]
     if todo:
+        seen = {c: set() for c in todo}
         # all combinations z of the rows from `start` on whose first nonzero
         # coefficient is a 1 on a row of a class to do: that row is among the
         # first `high` (any coefficients on the last `low`), or those are all 0
@@ -335,66 +330,146 @@ def min_weight_search(a: FqMatrix, classes=None, budget=None):
             (head, qary_words(q, low), row_class[start + head_row][:, None]),
             (np.zeros((1, high), dtype=np.int64), tail, row_class[start + high + tail_row][None, :]),
         )
+        dtype = np.min_scalar_type(q - 1)
         for x_words, y_words, pair_class in blocks:
             xs = (x_words @ span[:high] % q).astype(dtype)
             ys = (y_words @ span[high:] % q).astype(dtype)
             pair_class = np.broadcast_to(pair_class, (len(xs), len(ys)))
             for i0, j0, nz in _pair_supports(xs, ys, q):
-                cls = pair_class[i0 : i0 + nz.shape[0], j0 : j0 + nz.shape[1]]
-                _absorb(limit, seen, cls, nz.sum(axis=2), lambda i, j: nz[i, j])
+                _absorb(limit, seen, pair_class[i0 : i0 + nz.shape[0], j0 : j0 + nz.shape[1]], nz)
+        found.update((c, len(supports)) for c, supports in seen.items())
 
     classes = classes.tolist()
-    weights = np.array([limit[c] if c in seen else 0 for c in classes], dtype=np.int64)
-    supports = np.array([len(seen[c]) if c in seen else 0 for c in classes], dtype=np.int64)
+    weights = np.array([limit[c] if c in found else 0 for c in classes], dtype=np.int64)
+    supports = np.array([found.get(c, 0) for c in classes], dtype=np.int64)
     return weights, supports
 
 
-#: Candidates handled per vectorised step of min_weight_search.
+#: Candidates handled per vectorised step of min_weight_search and of the
+#: erasure-pattern pass.
 _SEARCH_CHUNK = 1 << 14
 
 
 def _plan(bound: dict, coset_cost: dict, k: int, q: int):
     """(w, candidate count) of the cheapest plan of min_weight_search.
 
-    Layers 1..w serve the classes whose weight bound is at most w, and the
-    cosets of each other class serve it.
+    Layers 1..w, C(k, v) supports each, serve the classes whose weight bound
+    is at most w, and the cosets of each other class serve it.
     """
 
     def cost(w):
-        layers = sum(_layer_size(k, q, v) for v in range(1, w + 1))
-        return layers + sum(coset_cost[c] for c in bound if bound[c] > w)
+        return sum(math.comb(k, v) for v in range(1, w + 1)) + sum(coset_cost[c] for c in bound if bound[c] > w)
 
     depth = min(sorted({0, *bound.values()}), key=cost)
     return depth, cost(depth)
 
 
-def _layer_size(k: int, q: int, w: int) -> int:
-    """Number of weight-w words of length k whose first nonzero entry is 1."""
-    return math.comb(k, w) * (q - 1) ** (w - 1)
+def _binary_layers(a: np.ndarray, depth: int):
+    """(v, reach) for v = 1..depth over F_2: reach[c] counts the weight-v y in class c.
 
-
-def _weight_layer(rows: np.ndarray, q: int, w: int, normalized: bool):
-    """Every y of weight w over ``rows``: (y @ rows mod q, support of y).
-
-    With ``normalized`` only the y whose first nonzero entry is 1.  Sums use
-    the smallest unsigned dtype that holds q - 1.
+    Over F_2 a y is its support.  A layer larger than a chunk pairs y =
+    (y_left, y_right) split at row k // 2, every weight on the left with the
+    rest on the right, so its memory stays within the chunk.
     """
-    m, n = rows.shape
-    dtype = np.min_scalar_type(q - 1)
-    if w == 0 or w > m:
-        size = int(w == 0)
-        return np.zeros((size, n), dtype=dtype), np.zeros((size, m), dtype=bool)
-    supp = np.array(list(itertools.combinations(range(m), w)), dtype=np.int64)
-    coef = qary_words(q - 1, w) + 1
-    if normalized:
-        coef = coef[coef[:, 0] == 1]
-    sums = np.zeros((len(supp), len(coef), n), dtype=np.int64)
-    for pos in range(w):
-        sums += coef[None, :, pos, None] * rows[supp[:, pos]][:, None, :]
-    mask = np.zeros((len(supp), m), dtype=bool)
-    mask[np.arange(len(supp))[:, None], supp] = True
-    sums = sums.reshape(len(supp) * len(coef), n) % q
-    return sums.astype(dtype), np.repeat(mask, len(coef), axis=0)
+    k, n = a.shape
+    for v in range(1, depth + 1):
+        half = k if math.comb(k, v) <= _SEARCH_CHUNK else k // 2
+        reach = np.zeros(n + 1, dtype=np.int64)
+        for left in range(max(0, v - (k - half)), min(v, half) + 1):
+            # one more column, 0 on the left and 1 on the right, puts the lead
+            # of an all-zero yA at class n
+            xs = np.pad(_weight_layer(a[:half], left), ((0, 0), (0, 1)))
+            ys = np.pad(_weight_layer(a[half:], v - left), ((0, 0), (0, 1)), constant_values=1)
+            for _, _, nz in _pair_supports(xs, ys, 2):
+                reach += np.bincount(nz.argmax(axis=2).ravel(), minlength=n + 1)
+        yield v, reach
+
+
+def _weight_layer(rows: np.ndarray, w: int) -> np.ndarray:
+    """y @ rows over F_2 for every y of weight w, as uint8 rows."""
+    m = len(rows)
+    supp = np.array(list(itertools.combinations(range(m), w)), dtype=np.intp).reshape(math.comb(m, w), w)
+    return np.bitwise_xor.reduce(rows.astype(np.uint8)[supp], axis=1)
+
+
+def _pattern_layers(a: np.ndarray, q: int, depth: int):
+    """(w, reach) per w = 1..depth: reach[c] counts the weight-w supports reaching class c.
+
+    Support e reaches the lead classes of the nonzero y supported on it: the
+    pivot columns of A[e, :], and n = A's column count when its rows are
+    dependent.  e + {i} with i > max(e) keeps its parent e's reduced echelon
+    rows, with A[i] reduced against them: the residue's first nonzero column
+    is the new pivot, that row is normalised and cleared from the others,
+    and a zero residue stays as a zero row whose pivot is n.  Layers are
+    sorted by max(e), so the parents of the children that add row i are a
+    prefix, and a layer's (parent, row) pairs are reduced _SEARCH_CHUNK at a
+    time.  Rows span n + 1 columns, the last always 0, held in the smallest
+    unsigned dtype for q - 1 and reduced in the smallest for n(q - 1)^2 + q,
+    which bounds every sum; the last layer is counted, not kept.  The
+    sum_{v <= depth} C(k, v) supports meet the erasure-pattern budget of
+    2^20 before any layer is built.
+    """
+    k, n = a.shape
+    depth = min(depth, k)
+    check_budget("erasure-pattern", sum(math.comb(k, v) for v in range(depth + 1)), 1 << 20)
+    store, work = np.min_scalar_type(q - 1), np.min_scalar_type(n * (q - 1) ** 2 + q)
+    padded = np.zeros((k, n + 1), dtype=work)
+    padded[:, :n] = a
+    rows = np.zeros((1, 0, n + 1), dtype=store)  # weight 0: the empty support
+    pivots = np.zeros((1, 0), dtype=np.min_scalar_type(n))
+    for w in range(depth):
+        # parents with max(e) < i are the first C(i, w) of the layer; their
+        # children follow the C(i, w + 1) children whose max is below i
+        sizes = [math.comb(i, w) for i in range(w, k)]
+        parent = np.concatenate([np.arange(size) for size in sizes])
+        added = np.repeat(np.arange(w, k), sizes)
+        kept = w + 1 < depth
+        if kept:
+            next_rows = np.empty((len(parent), w + 1, n + 1), dtype=store)
+            next_pivots = np.empty((len(parent), w + 1), dtype=pivots.dtype)
+        reach = np.zeros(n + 1, dtype=np.int64)
+        for lo in range(0, len(parent), _SEARCH_CHUNK):
+            chunk = slice(lo, lo + _SEARCH_CHUNK)
+            row, piv = padded[added[chunk]], pivots[parent[chunk]]
+            basis = rows[parent[chunk]].astype(work, copy=False)
+            spent = _reduce(np.einsum("cw,cwn->cn", np.take_along_axis(row, piv, axis=1), basis), q)
+            residue = _reduce(row + q - spent, q)
+            nonzero = residue != 0
+            nonzero[:, n] = True
+            lead = nonzero.argmax(axis=1)
+            at = np.arange(len(row))
+            residue = _reduce(residue * _inverses(residue[at, lead], q)[:, None], q)
+            # basis -= basis[:, :, lead] * residue, negating the small factor
+            column = _reduce(q - basis[at, :, lead], q)
+            basis = _reduce(basis + column[:, :, None] * residue[:, None, :], q)
+            piv = np.hstack([piv, lead[:, None].astype(piv.dtype)])
+            reach[:n] += np.bincount(piv.ravel(), minlength=n + 1)[:n]
+            reach[n] += np.count_nonzero((piv == n).any(axis=1))
+            if kept:
+                next_rows[chunk] = np.concatenate([basis, residue[:, None]], axis=1)
+                next_pivots[chunk] = piv
+        yield w + 1, reach
+        if kept:
+            rows, pivots = next_rows, next_pivots
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place for unsigned x: numpy vectorises floor division by a
+    scalar, not the remainder, which runs several times slower."""
+    x -= x // q * q
+    return x
+
+
+def _inverses(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues mod prime q, as a^(q-2); 0 stays 0 (q > 2)."""
+    out = np.ones_like(a)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = _reduce(out * a, q)
+        a = _reduce(a * a, q)
+        e >>= 1
+    return out
 
 
 def _led_words(q: int, m: int, positions):
@@ -423,14 +498,10 @@ def _pair_supports(xs: np.ndarray, ys: np.ndarray, q: int):
             yield i0, j0, xs[i0 : i0 + step_x, None] != neg[None, j0 : j0 + step_y]
 
 
-def _absorb(limit, seen, cls, weight, supports):
-    """Fold a block of candidates into the running least weights.
-
-    ``cls`` and ``weight`` broadcast to the block's (i, j) shape;
-    ``supports(i, j)`` returns the support rows of the candidates picked.
-    A class whose least weight falls forgets the supports it had.
-    """
-    cls, weight = np.broadcast_arrays(cls, weight)
+def _absorb(limit, seen, cls, nz):
+    """Fold coset candidates of classes ``cls`` and supports ``nz`` into the
+    running least weights; a class whose least weight falls forgets its supports."""
+    weight = nz.sum(axis=2)
     i, j = np.nonzero(weight <= limit[cls])
     if not i.size:
         return
@@ -441,7 +512,7 @@ def _absorb(limit, seen, cls, weight, supports):
         limit[c] = low[c]
         seen[int(c)].clear()
     hit = weight == limit[cls]
-    packed = np.packbits(supports(i[hit], j[hit]), axis=1)
+    packed = np.packbits(nz[i[hit], j[hit]], axis=1)
     for c, key in zip(cls[hit].tolist(), packed):
         seen[c].add(key.tobytes())
 

@@ -215,9 +215,9 @@ def left_kernel_distance(m0: FqMatrix):
 
     Returns math.inf when the left kernel is trivial.  This is lead class
     n = m0.cols of ``fqlin.min_weight_search``, which enumerates either the
-    kernel through its basis or all u by increasing weight, whichever is
-    cheaper; the search budget caps that cheaper candidate count and is
-    checked before any enumeration (BudgetExceeded).
+    kernel through its basis or the supports of u by increasing weight,
+    whichever is cheaper; the search budget caps that cheaper candidate
+    count and is checked before any enumeration (BudgetExceeded).
     """
     (weight,), _ = min_weight_search(m0, [m0.cols])
     return math.inf if weight == 0 else int(weight)
@@ -414,9 +414,9 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> 
     The block distance comes from one ``fqlin.min_weight_search`` within
     its default budget (POLARLAB_BUDGET, else 10^7 candidates) and raises
     BudgetExceeded beyond it.  The leading exponents come from
-    ``polarlab.leading_exponents``: that search, or the 2^k pattern pass
-    where it is cheaper.  Exponents that neither fits are reported as None,
-    as for a kernel that is not mixing.
+    ``polarlab.leading_exponents``, the same search over every lead class;
+    over q > 2 its layers meet the erasure-pattern budget too.  Exponents
+    over budget are reported as None, as for a kernel that is not mixing.
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fqlin import (
-    DEFAULT_SEARCH_BUDGET,
-    BudgetExceeded,
-    FqMatrix,
-    check_budget,
-    min_weight_search,
-    row_echelon,
-)
+from .fqlin import FqMatrix, _pattern_layers, check_budget, min_weight_search, row_echelon
 
 __all__ = [
     "ErasurePolynomialSet",
@@ -62,10 +55,6 @@ _NEGLIGIBLE = -700.0
 
 #: Parent nodes per log_step call in evolve_tree, bounding its temporaries.
 _TREE_CHUNK = 1 << 14
-
-#: Children reduced per vectorised step of erasure_polynomials; bounds its
-#: int64 temporaries to a few k x k x _CHUNK arrays.
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -124,64 +113,22 @@ class ErasurePolynomialSet:
 def erasure_polynomials(m: FqMatrix) -> ErasurePolynomialSet:
     """Enumerate all 2^k erasure patterns of an invertible kernel.
 
-    Patterns are built one weight layer at a time.  Pattern e + {i} with
-    i > max(e) has the unique parent e, and the reduced row echelon basis of
-    M[e + {i}, :] is the parent's with row M[i] inserted: reduce M[i] against
-    the basis, take the residue's first nonzero column as the new pivot,
-    normalise that row and clear its pivot column from the parent's rows.
-    Whether column j is a pivot of M[e, :] depends only on its column matroid
-    (column j outside the span of the earlier columns), not on row order or
-    pivot rule, so the pivots are exactly the undetermined outputs.
-
-    A basis is a k x k array whose row j is the basis vector with pivot j and
-    zero when j is no pivot, so the pivot mask is its diagonal.  Each layer
-    is kept sorted by max(e), which makes the parents of the children that
-    add row i a prefix of the layer; they are reduced together, _CHUNK at a
-    time in int64.  Layer states use the smallest unsigned dtype that holds
-    q - 1 and at most two layers are alive at once: at the default budget of
-    2^20 patterns (k = 20) over F_2 that is C(20, 9) + C(20, 10) bases of
-    400 bytes, 141 MB.
+    c_j[w] is the number of weight-w patterns that reach lead class j in
+    ``fqlin._pattern_layers``, the pass behind ``min_weight_search``'s
+    layers over q > 2.  At the default budget of 2^20 patterns (k = 20) over
+    F_2, its two largest layers hold C(20, 10) and C(20, 11) patterns of 10
+    and 11 rows of 22 bytes (21 columns and a pivot), 81 MB.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
-    k, q = m.rows, m.q
-    if len(row_echelon(m.arr, q)[1]) < k:
+    k = m.rows
+    if len(row_echelon(m.arr, m.q)[1]) < k:
         raise ValueError("singular kernel")
-    check_budget("erasure-pattern", 2**k, 1 << 20)
-    dtype = np.min_scalar_type(q - 1)
     counts = np.zeros((k, k + 1), dtype=np.int64)
-    layer = np.zeros((1, k, k), dtype=dtype)  # weight 0: the empty pattern
-    for w in range(k):
-        children = np.empty((math.comb(k, w + 1), k, k), dtype=dtype)
-        for i in range(w, k):
-            # parents with max(e) < i are the first C(i, w) of the layer; their
-            # children follow the C(i, w + 1) children whose max is below i
-            row, offset, parents = m.arr[i], math.comb(i, w + 1), math.comb(i, w)
-            for lo in range(0, parents, _CHUNK):
-                basis = layer[lo : min(lo + _CHUNK, parents)].astype(np.int64)
-                residue = (row - row @ basis) % q
-                n = np.arange(len(basis))
-                pivot = (residue != 0).argmax(axis=1)
-                residue = residue * _inverses(residue[n, pivot], q)[:, None] % q
-                basis = (basis - basis[n, :, pivot][:, :, None] * residue[:, None, :]) % q
-                basis[n, pivot] = residue
-                counts[:, w + 1] += basis.diagonal(axis1=1, axis2=2).sum(axis=0)
-                children[offset + lo : offset + lo + len(basis)] = basis
-        layer = children
+    for w, reach in _pattern_layers(m.arr, m.q, k):
+        counts[:, w] = reach[:k]
     counts.flags.writeable = False
     return ErasurePolynomialSet(m, counts)
-
-
-def _inverses(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise inverses of nonzero residues mod prime q, as a^(q-2)."""
-    out = np.ones_like(a)
-    e = q - 2
-    while e:
-        if e & 1:
-            out = out * a % q
-        a = a * a % q
-        e >>= 1
-    return out
 
 
 def _coerce_polys(m) -> ErasurePolynomialSet:
@@ -218,40 +165,22 @@ def leading_exponents(m) -> LeadingExponents:
     Given an ``ErasurePolynomialSet``, reads them off the pattern counts.
     Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
     weight and the number of least-weight supports in lead class j of
-    ``fqlin.min_weight_search``, or the same numbers read off the pattern
-    counts when those are cheaper.  A pattern reduces a k x k basis and a
-    search candidate compares k + 1 entries, so the search runs when its
-    planned candidate count is at most k * 2^k and 10^7, and the 2^k pattern
-    pass, within its budget of 2^20, otherwise; POLARLAB_BUDGET, when set,
-    is the limit of both.  When both are refused, the search's
-    BudgetExceeded is raised.
+    ``fqlin.min_weight_search``, which raises BudgetExceeded when its plan
+    or its pattern layers are over budget.
     """
     if isinstance(m, ErasurePolynomialSet):
         return _count_exponents(m.counts)
-    return _kernel_exponents(m)
+    if m.rows != m.cols:
+        raise ValueError("kernel must be square")
+    if len(row_echelon(m.arr, m.q)[1]) < m.rows:
+        raise ValueError("singular kernel")
+    return LeadingExponents(*min_weight_search(m, range(m.rows)))
 
 
 def _count_exponents(counts: np.ndarray) -> LeadingExponents:
     """Leading exponents of the Bernstein polynomials with these coefficients."""
     d = (counts[:, 1:] > 0).argmax(axis=1) + 1
     return LeadingExponents(d, counts[np.arange(len(counts)), d])
-
-
-def _kernel_exponents(m: FqMatrix) -> LeadingExponents:
-    if m.rows != m.cols:
-        raise ValueError("kernel must be square")
-    k = m.rows
-    if len(row_echelon(m.arr, m.q)[1]) < k:
-        raise ValueError("singular kernel")
-    try:
-        return LeadingExponents(*min_weight_search(m, range(k), min(k * 2**k, DEFAULT_SEARCH_BUDGET)))
-    except BudgetExceeded as search_refused:
-        try:
-            return _count_exponents(erasure_polynomials(m).counts)
-        except BudgetExceeded:
-            # refused patterns mean k > 19 or POLARLAB_BUDGET: either way the
-            # search was refused at its full budget already
-            raise search_refused from None
 
 
 @dataclass(frozen=True)

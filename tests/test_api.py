@@ -49,9 +49,9 @@ def _public_signatures():
                         yield f"{short}.{name}.{attr}", set(inspect.signature(member).parameters)
 
 
-def test_only_min_weight_search_takes_a_budget():
-    with_budget = [name for name, params in _public_signatures() if "budget" in params]
-    assert with_budget == ["fqlin.min_weight_search"]
+def test_no_public_function_takes_a_budget():
+    # every limit is a default at its check_budget call, or POLARLAB_BUDGET
+    assert [name for name, params in _public_signatures() if "budget" in params] == []
 
 
 def test_deleted_parameters_stay_deleted():

@@ -43,6 +43,11 @@ def test_qsc_invalid_eps():
         make_qsc(2, 1.5)
 
 
+def test_qsc_rejects_a_non_integer_field_size():
+    with pytest.raises(ValueError, match="modulus must be an integer; got 2.9"):
+        make_qsc(2.9, 0.1)
+
+
 def test_erasure_table_and_edge_cases():
     c = make_erasure(2, 0.4)
     assert c.outputs == 3 and c.erasure_symbol == 2

@@ -209,6 +209,16 @@ def test_out_of_range_arguments_exit_2(args, capsys):
     assert re.fullmatch(r"(usage: .*\npolarkit: )?error: [^\n]*\n", capsys.readouterr().err, re.S)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ('{"q": 2, "rows": 2, "cols": 2, "entries": [1, 0, 1.5, 1]}', "matrix entries must be integers"),
+    ('{"q": 2.7, "rows": 2, "cols": 2, "entries": [1, 0, 1, 1]}', "modulus must be an integer"),
+], ids=["fractional-entry", "fractional-q"])
+def test_analyze_kernel_rejects_a_non_integer_literal_exit_2(literal, message, capsys):
+    # both used to be truncated and analysed as arikan
+    assert run_cli(["analyze-kernel", "--kernel", literal]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_construct_rate_checked_before_estimation(monkeypatch, capsys):
     from polarkit import codec
 

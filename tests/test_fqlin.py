@@ -38,6 +38,14 @@ def test_field_modulus_rejects_composites():
             FqMatrix(q, [[1]])
 
 
+def test_field_modulus_rejects_non_integers():
+    # int() used to truncate these to F_2
+    for q in (2.7, 2.0, "3"):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            FqMatrix(q, [[1]])
+    assert FqMatrix(np.int64(3), [[1]]).q == 3
+
+
 def test_field_inverse_examples():
     assert field_inverse(1, 5) == 1
     assert field_inverse(2, 5) == 3  # 2*3 = 6 = 1 mod 5
@@ -54,6 +62,19 @@ def test_field_inverse_all_elements():
 def test_matrix_construction_reduces_mod_q():
     m = FqMatrix(3, [[4, -1], [3, 5]])
     assert m.arr.tolist() == [[1, 2], [0, 2]]
+
+
+def test_matrix_rejects_fractional_entries():
+    # int64 casting used to read -0.5 as 0, making this the identity
+    with pytest.raises(ValueError, match="matrix entries must be integers; got an array of float64"):
+        FqMatrix(3, [[1, 0], [-0.5, 1]])
+
+
+def test_matrix_rejects_string_entries():
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        FqMatrix.from_dict({"q": 2, "rows": 1, "cols": 2, "entries": ["1", 0]})
+    # no entries at all are still a matrix
+    assert FqMatrix.from_dict({"q": 2, "rows": 0, "cols": 3, "entries": []}).arr.shape == (0, 3)
 
 
 def test_inverse_identity():
@@ -344,8 +365,8 @@ def _search_cases():
 @pytest.mark.parametrize("chunk", [fqlin._SEARCH_CHUNK, 3], ids=["chunk-default", "chunk-3"])
 @pytest.mark.parametrize("a", list(_search_cases()), ids=lambda a: f"q{a.q}-{a.rows}x{a.cols}")
 def test_min_weight_search_matches_brute_force(a, chunk, monkeypatch):
-    # a 3-candidate chunk splits every layer into halves and every coset
-    # enumeration into many blocks
+    # a 3-candidate chunk splits every F_2 layer into halves, and every
+    # pattern layer and coset enumeration into many blocks
     monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", chunk)
     least, supports = lead_class_weights_brute(a)
     weights, counts = min_weight_search(a)
@@ -374,11 +395,13 @@ def test_min_weight_search_edge_shapes():
         min_weight_search(FqMatrix.identity(2, 3), [4])
 
 
-def test_min_weight_search_budget_is_checked_first():
+def test_min_weight_search_budget_is_checked_first(monkeypatch):
     # the identity's cheapest plan costs k: one weight-1 layer
-    with pytest.raises(BudgetExceeded, match="budget exceeded: 12 > 11"):
-        min_weight_search(FqMatrix.identity(2, 12), range(12), budget=11)
-    w, _ = min_weight_search(FqMatrix.identity(2, 12), range(12), budget=12)
+    monkeypatch.setenv("POLARLAB_BUDGET", "11")
+    with pytest.raises(BudgetExceeded, match="^minimum-weight search budget exceeded: 12 > 11$"):
+        min_weight_search(FqMatrix.identity(2, 12), range(12))
+    monkeypatch.setenv("POLARLAB_BUDGET", "12")
+    w, _ = min_weight_search(FqMatrix.identity(2, 12), range(12))
     assert w.tolist() == [1] * 12
     assert issubclass(BudgetExceeded, ValueError)
 

@@ -21,7 +21,7 @@ from polarkit.kernelscope import (
     verify_witness,
     kernel_report,
 )
-from polarkit.polarlab import leading_exponents
+from polarkit.polarlab import erasure_polynomials, leading_exponents
 
 from helpers import complete_columns_greedy, is_mixing_brute, left_kernel_distance_enum, random_invertible
 
@@ -298,16 +298,47 @@ def test_kernel_report_exponent():
 
 
 def test_kernel_report_large_field_exponents():
-    # a k = 20 kernel over F_5 plans about 5e7 search candidates, above the
-    # search budget, so its exponents come from the 2^20 erasure patterns;
-    # those of a Kronecker product are the products of its factors'
+    # over F_5 a search layer counts supports, not the vectors on them, so a
+    # k = 20 kernel plans at most 2^20 candidates and fits the search budget;
+    # its d and constants are the pattern counts', and the d of a Kronecker
+    # product are the products of its factors'
     a, b = (random_mixing(5, k, np.random.default_rng(k)) for k in (4, 5))
     m = kron(a, b)
-    with pytest.raises(BudgetExceeded):
-        min_weight_search(m, range(20))
+    weights, supports = min_weight_search(m, range(20))
+    by_counts = leading_exponents(erasure_polynomials(m))
+    assert weights.tolist() == by_counts.d.tolist()
+    assert supports.tolist() == by_counts.constants.tolist()
     rep = kernel_report(m)
     d = np.outer(leading_exponents(a).d, leading_exponents(b).d).ravel()
-    assert rep.exponents.tolist() == d.tolist()
+    assert rep.exponents.tolist() == weights.tolist() == d.tolist()
+
+
+def _reed_solomon(q):
+    """M[i][l] = alpha_l^(k-1-i) over the k = q - 1 powers alpha_l = g^l of a primitive root g."""
+    k = q - 1
+    g = next(g for g in range(2, q) if len({pow(g, e, q) for e in range(k)}) == k)
+    return FqMatrix(q, [[pow(g, l * (k - 1 - i), q) for l in range(k)] for i in range(k)])
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
+def test_kernel_report_reed_solomon_exponents(q):
+    # Mori and Tanaka (2014): the partial distances are 1..k, so E(M) =
+    # log_k(k!) / k; the search's layers count supports, so even F_19 (k = 18)
+    # plans at most 2^18 candidates
+    k = q - 1
+    rep = kernel_report(_reed_solomon(q))
+    assert rep.exponents.tolist() == list(range(1, k + 1))
+    assert abs(rep.exponent - math.lgamma(k + 1) / (k * math.log(k))) < 1e-12
+
+
+def test_kernel_report_reed_solomon_f23_is_refused_before_any_layer():
+    # k = 22: the cheapest plan takes the layers of weight <= 21, 2^22 - 1
+    # supports, over the erasure-pattern budget of 2^20 (one coset serves d = 22)
+    m = _reed_solomon(23)
+    with pytest.raises(BudgetExceeded, match="^erasure-pattern budget exceeded: 4194303 > 1048576$"):
+        leading_exponents(m)
+    rep = kernel_report(m)
+    assert rep.mixing and rep.exponents is None and rep.to_dict()["exponent"] is None
 
 
 def test_kernel_report_budget(monkeypatch):

@@ -477,15 +477,15 @@ def test_leading_exponents_arikan_power_5(monkeypatch):
 
 
 def test_leading_exponents_large_field_uses_pattern_counts():
-    # over F_257 a generic 7 x 7 kernel has d[j] = j + 1 and the search plans
-    # about 1.9e7 candidates, above its budget, against 2^7 patterns
+    # over F_257 a generic 7 x 7 kernel has d[j] = j + 1; the search's layers
+    # are the 2^7 erasure patterns, where listing the vectors on them would
+    # take about 1.9e7 candidates
     m = random_mixing(257, 7, np.random.default_rng(8))
-    with pytest.raises(BudgetExceeded):
-        min_weight_search(m, range(7))
+    weights, supports = min_weight_search(m, range(7))
     lead = leading_exponents(m)
     by_counts = leading_exponents(erasure_polynomials(m))
-    assert lead.d.tolist() == by_counts.d.tolist() == list(range(1, 8))
-    assert lead.constants.tolist() == by_counts.constants.tolist()
+    assert weights.tolist() == lead.d.tolist() == by_counts.d.tolist() == list(range(1, 8))
+    assert supports.tolist() == lead.constants.tolist() == by_counts.constants.tolist()
 
 
 def test_leading_exponents_rejects_singular_and_non_square():
