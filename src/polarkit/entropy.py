@@ -9,21 +9,29 @@ invertible kernel M, the engine yields the per-index profile
 h[j] sees each side symbol only through its posterior up to a translation
 in F_q, so side symbols whose columns of p are cyclic translates of each
 other are first folded into one (``_fold``: m' classes, 2 for the erasure
-joints and 1 for the q-ary symmetric ones).  The engine then enumerates
-every state (u, a) in F_q^k x [m']^k with its product weight and accumulates
-the exact joint law of the transform prefixes.
+joints and 1 for the q-ary symmetric ones).
+
+A folded joint is erasure-type when each of its columns is a point mass or
+constant: given its side symbol, U_i is then known or uniform, and it is
+erased with probability z, the constant columns' mass.  So h[j] = f_j(z),
+the erasure polynomial that ``polarlab.erasure_polynomials`` counts, and
+the profile is read off those pattern counts (2^k patterns, however large
+q is).  Every other joint is enumerated: each state (u, a) in F_q^k x
+[m']^k with its product weight, accumulating the exact joint law of the
+transform prefixes.
 
 Entropies are normalized to [0, 1] by log2(q) throughout.  Everything here is
-exact enumeration; nothing is estimated from samples.
+exact counting or enumeration; nothing is estimated from samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import polarlab
 from .channels import make_erasure
 from .fqlin import FqMatrix, _as_modulus, check_budget, qary_words
 
@@ -181,29 +189,35 @@ def _fold(joint: SymbolJoint) -> np.ndarray:
     return (keys.view(np.float64).reshape(-1, q) * counts[:, None]).T
 
 
-def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
-    """Exact entropy profile of the transform u -> uM under i.i.d. ``joint`` pairs.
+def _erasure_rate(p: np.ndarray) -> float | None:
+    """The erasure rate z of a folded table whose columns are erasure-type.
 
-    Enumerates all (q*m')^k states of the folded joint once (``_fold``: side
-    symbols whose columns are translates in F_q merge, which is exact), within
-    a budget of 1e7 states (POLARLAB_BUDGET when set).  The product weights
-    W[u, a] are built by broadcasting, and since u -> uM is a bijection the
-    exact law P[v, a] is W with its rows gathered into v order.  Summing out
-    the last v digit of the prefix law P[v_<=j, a] gives P[v_<j, a], and
-    h[j] is read off the same block directly as the weighted conditional
-    entropy of v_j given (v_<j, a), with no difference of large entropies,
-    so tiny h[j] keep full relative precision.  Levels are reduced in chunks
-    of prefix rows, so at most the weights, one prefix law and bounded
-    temporaries are alive.  The chain rule sum(h) = k * H(U|A), with H(U|A)
-    from the unfolded joint, is verified internally to 1e-9 as a self-check.
+    A column that is a point mass reveals U; a constant one leaves it
+    uniform.  When every column is one or the other, the pairs are erased
+    independently with probability z, the constant columns' total mass
+    (summed with ``math.fsum``, so correctly rounded); otherwise None.
     """
-    if m.rows != m.cols:
-        raise ValueError("kernel must be square")
-    if m.q != joint.q:
-        raise ValueError("modulus mismatch between kernel and joint")
+    flat = np.all(p == p[:1], axis=0)
+    if not np.all(flat | (np.count_nonzero(p, axis=0) == 1)):
+        return None
+    return math.fsum(p[:, flat].ravel())
+
+
+def _enumerated_entropies(m: FqMatrix, p: np.ndarray) -> np.ndarray:
+    """The unchecked profile h of the folded table ``p``, by enumerating its states.
+
+    All (q*m')^k states are enumerated once, within a budget of 1e7 states
+    (POLARLAB_BUDGET when set).  The product weights W[u, a] are built by
+    broadcasting, and since u -> uM is a bijection the exact law P[v, a] is
+    W with its rows gathered into v order.  Summing out the last v digit of
+    the prefix law P[v_<=j, a] gives P[v_<j, a], and h[j] is read off the
+    same block directly as the weighted conditional entropy of v_j given
+    (v_<j, a), with no difference of large entropies, so tiny h[j] keep full
+    relative precision.  Levels are reduced in chunks of prefix rows, so at
+    most the weights, one prefix law and bounded temporaries are alive.
+    """
     k = m.rows
     q = m.q
-    p = _fold(joint)
     check_budget("entropy state", (q * p.shape[1]) ** k, 10**7)
 
     # row v = uM of P[v, a] is row u of W[u, a]; M is invertible exactly
@@ -232,8 +246,29 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
             nats += _level_entropy_nats(block, t)
         h[j] = nats / math.log(q)
         law, order = prefix_law, None
+    return h
 
-    expected = k * cond_entropy(joint)
+
+def _checked_entropies(m: FqMatrix, joint: SymbolJoint, polys):
+    """(h, polys): the checked profile of ``joint``, and the pattern counts read.
+
+    An erasure-type joint reads h[j] = f_j(z) off ``polys``, the kernel's
+    erasure polynomials, built here when None; any other enumerates.
+    """
+    if m.rows != m.cols:
+        raise ValueError("kernel must be square")
+    if m.q != joint.q:
+        raise ValueError("modulus mismatch between kernel and joint")
+    p = _fold(joint)
+    z = _erasure_rate(p)
+    if z is None:
+        h = _enumerated_entropies(m, p)
+    else:
+        if polys is None:
+            polys = polarlab.erasure_polynomials(m)
+        h = polys.evaluate(z)
+
+    expected = m.rows * cond_entropy(joint)
     if abs(h.sum() - expected) > 1e-9:
         raise RuntimeError(
             f"chain-rule self check failed: sum(h)={h.sum():.12f}, expected {expected:.12f}"
@@ -242,7 +277,24 @@ def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
         raise RuntimeError("entropy profile escaped [0, 1] beyond tolerance")
     h = np.clip(h, 0.0, 1.0)
     h.flags.writeable = False
-    return EntropyProfile(h)
+    return h, polys
+
+
+def polar_entropies(m: FqMatrix, joint: SymbolJoint) -> EntropyProfile:
+    """Exact entropy profile of the transform u -> uM under i.i.d. ``joint`` pairs.
+
+    The joint is folded first (``_fold``: side symbols whose columns are
+    translates in F_q merge, which is exact).  When every folded column is a
+    point mass or constant, the joint is erasure-type: each U_i is known or
+    uniform given its side symbol, erased with probability z, so h[j] =
+    f_j(z) exactly, read off ``polarlab.erasure_polynomials`` under its 2^k
+    pattern budget.  Any other joint enumerates all (q*m')^k states of the
+    folded table within a budget of 1e7 states (POLARLAB_BUDGET when set).
+    On both paths the chain rule sum(h) = k * H(U|A), with H(U|A) from the
+    unfolded joint, is verified to 1e-9 as a self-check, and h must lie in
+    [0, 1] to 1e-9.
+    """
+    return EntropyProfile(_checked_entropies(m, joint, None)[0])
 
 
 def _map_predictor(joint: SymbolJoint):
@@ -328,27 +380,26 @@ def polarization_exponents(m: FqMatrix, family, deltas) -> ExponentReport:
 
     ``family`` maps delta to a SymbolJoint and must be calibrated so that
     H(U|A) = delta to 1e-9 (the erasure family is).  The fit uses the
-    _FIT_POINTS smallest deltas, where constant contamination is weakest.
+    _FIT_POINTS smallest deltas, where constant contamination is weakest,
+    in one least-squares fit over every index whose h stays positive there.
+    Erasure-type joints share one pattern pass per call.
     """
     deltas = np.sort(np.asarray(deltas, dtype=np.float64))
     if np.unique(deltas).size < 3:
         raise ValueError("need at least 3 distinct grid values")
     if np.any(deltas <= 0) or np.any(deltas >= 1):
         raise ValueError("grid values must lie in (0, 1)")
-    profiles = []
+    profiles, polys = [], None
     for d in deltas:
         joint = family(d)
         if abs(cond_entropy(joint) - d) > 1e-9:
             raise ValueError(f"family is miscalibrated at delta={d}")
-        profiles.append(polar_entropies(m, joint).h)
+        h, polys = _checked_entropies(m, joint, polys)
+        profiles.append(h)
     profiles = np.array(profiles)
-    k = m.rows
-    logd = np.log(deltas[:_FIT_POINTS])
-    exponents = np.empty(k)
-    for j in range(k):
-        hj = profiles[:_FIT_POINTS, j]
-        if np.any(hj <= 0):
-            exponents[j] = math.inf
-        else:
-            exponents[j] = np.polyfit(logd, np.log(hj), 1)[0]
+    fit = profiles[:_FIT_POINTS]
+    positive = np.all(fit > 0, axis=0)
+    exponents = np.full(m.rows, math.inf)
+    if positive.any():
+        exponents[positive] = np.polyfit(np.log(deltas[:_FIT_POINTS]), np.log(fit[:, positive]), 1)[0]
     return ExponentReport(deltas, profiles, exponents)

@@ -140,9 +140,16 @@ class FqMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FqMatrix":
-        """Parse the matrix literal format {"q", "rows", "cols", "entries"}."""
-        arr = np.asarray(d["entries"]).reshape(d["rows"], d["cols"])
-        return cls(d["q"], arr)
+        """Parse the matrix literal format {"q", "rows", "cols", "entries"}.
+
+        A literal that is not of this form raises a ValueError.
+        """
+        if not isinstance(d, dict) or not {"q", "rows", "cols", "entries"} <= d.keys():
+            raise ValueError('a matrix literal needs the keys "q", "rows", "cols" and "entries"')
+        shape = d["rows"], d["cols"]
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in shape):
+            raise ValueError(f"matrix literal rows and cols must be nonnegative integers; got {shape}")
+        return cls(d["q"], np.asarray(d["entries"]).reshape(shape))
 
     def to_dict(self) -> dict:
         return {

@@ -104,10 +104,19 @@ class ErasurePolynomialSet:
         return np.where(f_small, small, rebuilt), np.where(f_small, rebuilt, small)
 
     def evaluate(self, x) -> np.ndarray:
-        """f_j(x) for all j, as exp of ``log_step``; returns shape x.shape + (k,)."""
-        x = np.asarray(x, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return np.exp(self.log_step(np.log(x), np.log1p(-x))[0])
+        """f_j(x) for all j, shape x.shape + (k,).
+
+        The direct sum of the nonnegative terms c_j[w] x^w (1-x)^(k-w): no
+        cancellation, so each f_j keeps its relative precision (exp of
+        ``log_step`` loses up to 6.9e-15 on the builtins).  1 - x is exact
+        from x = 1/2 on; below, it rounds, and its (k-w)-th power would carry
+        k - w times that error, so the power is exp((k-w) log1p(-x)) there.
+        """
+        x = np.asarray(x, dtype=np.float64)[..., None]
+        k, w = self.k, np.arange(self.k + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the unused log1p branch at x = 1
+            rest = np.where(x < 0.5, np.exp((k - w) * np.log1p(-x)), (1.0 - x) ** (k - w))
+        return (x**w * rest) @ self.counts.T.astype(np.float64)
 
 
 def erasure_polynomials(m: FqMatrix) -> ErasurePolynomialSet:

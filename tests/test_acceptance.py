@@ -77,7 +77,9 @@ def test_criterion_03_cross_oracle_equivalence():
     for m in kernels:
         eps = polarlab.erasure_polynomials(m)
         for z in zs:
-            h = entropy.polar_entropies(m, entropy.erasure_joint(m.q, z)).h
+            # polar_entropies reads erasure joints off these same counts, so
+            # the engine's side of the comparison is its state enumeration
+            h = entropy._enumerated_entropies(m, entropy._fold(entropy.erasure_joint(m.q, z)))
             worst = max(worst, float(np.max(np.abs(eps.evaluate(z) - h))))
     ok = worst < 1e-9
     assert report(

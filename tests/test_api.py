@@ -71,7 +71,7 @@ def test_deleted_parameters_stay_deleted():
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 ARIKAN_POLYS = polarlab.erasure_polynomials(ARIKAN)
 ERASURE = channels.make_erasure(2, 0.3)
-HALF_ERASED = entropy.erasure_joint(2, 0.5)
+BSC = entropy.channel_joint(channels.make_qsc(2, 0.1))
 ARIKAN_CODE = codec.construct_code(ARIKAN, ERASURE, 1, rate=0.5, frozen_zero=True)
 ARIKAN_CODE_T2 = codec.construct_code(ARIKAN, ERASURE, 2, rate=0.5, frozen_zero=True)
 
@@ -85,7 +85,8 @@ GUARDS = {
     "tree": lambda: polarlab.evolve_tree(ARIKAN_POLYS, 0.5, 2),
     "minimum-weight search": lambda: fqlin.min_weight_search(FqMatrix.identity(2, 4)),
     "source enumeration": lambda: kernelscope.ml_failure_exact(ARIKAN, 0.1),
-    "entropy state": lambda: entropy.polar_entropies(ARIKAN, HALF_ERASED),
+    # an erasure-type joint would meet the pattern budget instead
+    "entropy state": lambda: entropy.polar_entropies(ARIKAN, BSC),
     "kernel node table": lambda: codec.sc_decode(ARIKAN_CODE, [0, 1]),
     # the 4-word node table passes; one word weighs 4 * 2 floats
     "SC node weights": lambda: codec.sc_decode(ARIKAN_CODE_T2, [0, 1, 0, 1]),

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from polarkit.cli import main, resolve_channel, resolve_kernel
-from polarkit.fqlin import FqMatrix
+from polarkit.fqlin import FqMatrix, kron_power
+from polarkit.polarlab import leading_exponents
 
 
 def run_cli(args):
@@ -212,11 +214,33 @@ def test_out_of_range_arguments_exit_2(args, capsys):
 @pytest.mark.parametrize("literal, message", [
     ('{"q": 2, "rows": 2, "cols": 2, "entries": [1, 0, 1.5, 1]}', "matrix entries must be integers"),
     ('{"q": 2.7, "rows": 2, "cols": 2, "entries": [1, 0, 1, 1]}', "modulus must be an integer"),
-], ids=["fractional-entry", "fractional-q"])
+    # these two used to escape as a TypeError and a KeyError, exit 1
+    ('{"q": 2, "rows": 2.0, "cols": 2, "entries": [1, 0, 1, 1]}',
+     "matrix literal rows and cols must be nonnegative integers; got (2.0, 2)"),
+    ('{"q": 2, "rows": 2, "cols": 2}', 'a matrix literal needs the keys "q", "rows", "cols" and "entries"'),
+], ids=["fractional-entry", "fractional-q", "fractional-rows", "missing-entries"])
 def test_analyze_kernel_rejects_a_non_integer_literal_exit_2(literal, message, capsys):
-    # both used to be truncated and analysed as arikan
+    # the first two used to be truncated and analysed as arikan
     assert run_cli(["analyze-kernel", "--kernel", literal]) == 2
     assert message in capsys.readouterr().err
+
+
+def _reed_solomon(q):
+    # M[i][l] = alpha_l^(k-1-i) with alpha_l = 2^l, k = q - 1; 2 is a
+    # primitive root mod 11
+    k = q - 1
+    return FqMatrix(q, [[pow(2, l * (k - 1 - i), q) for l in range(k)] for i in range(k)])
+
+
+@pytest.mark.parametrize("kernel", [kron_power(FqMatrix(2, [[1, 0], [1, 1]]), 4), _reed_solomon(11)],
+                         ids=["arikan-4", "rs-f11"])
+def test_exponents_reach_large_kernels(kernel, monkeypatch, capsys):
+    # 4^16 and 22^10 states were refused; at the default budgets the pattern
+    # counts take 2^16 and 2^10 patterns
+    monkeypatch.delenv("POLARLAB_BUDGET", raising=False)
+    assert run_cli(["exponents", "--kernel", json.dumps(kernel.to_dict())]) == 0
+    fitted = json.loads(capsys.readouterr().out)["result"]["per_index_exponents"]
+    assert np.max(np.abs(np.array(fitted) - leading_exponents(kernel).d)) <= 0.05
 
 
 def test_construct_rate_checked_before_estimation(monkeypatch, capsys):

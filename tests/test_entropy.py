@@ -13,6 +13,8 @@ from polarkit.cli import resolve_kernel
 from polarkit.entropy import (
     SymbolJoint,
     _entropy_bits,
+    _enumerated_entropies,
+    _erasure_rate,
     _fold,
     channel_joint,
     cond_entropy,
@@ -23,7 +25,7 @@ from polarkit.entropy import (
     polar_entropies,
     polarization_exponents,
 )
-from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, qary_words
+from polarkit.fqlin import BudgetExceeded, FqMatrix, kron, kron_power, qary_words
 from polarkit.kernelscope import is_mixing, random_mixing
 
 from helpers import drop_side_info, fano_bound
@@ -141,15 +143,16 @@ def _erasure_precision_kernels():
 
 
 def test_erasure_profile_relative_precision():
-    # the exact values reach delta^8 ~ 1e-48; each must keep its relative precision
+    # the exact values reach delta^8 ~ 1e-48; each must keep its relative
+    # precision.  The counts path is checked against the state enumeration,
+    # which still runs privately as its oracle
     worst = 0.0
     for m in _erasure_precision_kernels():
-        polys = polarlab.erasure_polynomials(m)
-        for d in (1e-2, 1e-4, 1e-6):
-            exact = polys.evaluate(d)
-            got = polar_entropies(m, erasure_joint(m.q, d)).h
-            worst = max(worst, float(np.max(np.abs(got / exact - 1.0))))
-    assert worst <= 1e-9
+        for d in (1e-2, 1e-4, 1e-6, 0.3):
+            joint = erasure_joint(m.q, d)
+            got = polar_entropies(m, joint).h
+            worst = max(worst, float(np.max(np.abs(got / _enumerated_entropies(m, _fold(joint)) - 1.0))))
+    assert worst <= 1e-15
 
 
 def test_near_deterministic_rows_keep_relative_precision():
@@ -179,17 +182,47 @@ def test_singular_kernel_rejected():
         polar_entropies(FqMatrix(2, [[1, 1], [1, 1]]), erasure_joint(2, 0.3))
 
 
+# three side symbols, the first two translates of each other, and no column
+# a point mass or constant: it folds to m' = 2 and is enumerated
+TRANSLATED = SymbolJoint(2, [[0.2, 0.1, 0.25], [0.1, 0.2, 0.15]])
+
+
 def test_budget_guard(monkeypatch):
     monkeypatch.setenv("POLARLAB_BUDGET", "10")
-    # (q * m')^k = (2 * 2)^4 states: the two revealing symbols fold into one
+    # (q * m')^k = (2 * 2)^4 states
     with pytest.raises(BudgetExceeded, match="entropy state budget exceeded: 256 > 10"):
-        polar_entropies(FqMatrix.identity(2, 4), erasure_joint(2, 0.5))
+        polar_entropies(FqMatrix.identity(2, 4), SymbolJoint(2, [[0.4, 0.1], [0.2, 0.3]]))
 
 
 def test_budget_counts_folded_states():
     # (2 * 3)^9 = 10,077,696 unfolded states exceed 10^7; (2 * 2)^9 = 262,144 fit
-    prof = polar_entropies(FqMatrix.identity(2, 9), erasure_joint(2, 0.3))
-    assert np.allclose(prof.h, 0.3, atol=1e-12)
+    assert _fold(TRANSLATED).shape == (2, 2)
+    prof = polar_entropies(FqMatrix.identity(2, 9), TRANSLATED)
+    assert np.allclose(prof.h, cond_entropy(TRANSLATED), atol=1e-12)
+
+
+def test_erasure_joint_meets_the_pattern_budget(monkeypatch):
+    # an erasure-type joint never enumerates states: its refusal is the
+    # pattern pass's 2^k, where (2 * 2)^21 states would have been refused
+    monkeypatch.delenv("POLARLAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded, match=r"^erasure-pattern budget exceeded: 2097152 > 1048576$"):
+        polar_entropies(FqMatrix.identity(2, 21), erasure_joint(2, 0.5))
+
+
+def test_erasure_type_joints_are_recognised():
+    # point-mass and constant columns, in any mix and with any masses, read
+    # z off the constant ones; one other column sends the joint to the states
+    for q in (2, 3, 5):
+        assert _erasure_rate(_fold(erasure_joint(q, 0.3))) == 0.3
+        assert _erasure_rate(_fold(erasure_joint(q, 0.0))) == 0.0
+        assert _erasure_rate(_fold(erasure_joint(q, 1.0))) == 1.0
+        assert _erasure_rate(_fold(channel_joint(make_qsc(q, 0.1)))) is None
+    lopsided = SymbolJoint(3, [[0.5, 0.0, 0.1, 0.0], [0.0, 0.2, 0.1, 0.0], [0.0, 0.0, 0.1, 0.0]])
+    assert _erasure_rate(_fold(lopsided)) == pytest.approx(0.3, abs=1e-16)
+    assert _erasure_rate(_fold(TRANSLATED)) is None
+    m = FqMatrix(3, [[1, 0], [1, 1]])
+    oracle = _enumerated_entropies(m, _fold(lopsided))
+    assert np.max(np.abs(polar_entropies(m, lopsided).h / oracle - 1.0)) <= 1e-15
 
 
 def test_fold_merges_translated_side_symbols():
@@ -354,6 +387,17 @@ def test_exponents_squared_kernel_default_grid():
     m = FqMatrix(2, [[1, 0], [1, 1]])
     rep = polarization_exponents(kron(m, m), erasure_family(2), [1e-2, 1e-3, 1e-4])
     assert rep.exponents[3] == pytest.approx(4.0, abs=0.01)
+
+
+def test_exponents_of_vanished_entropies_are_inf():
+    # on arikan^3, h[7] = delta^8 is a subnormal 1e-320 at delta = 1e-40 and
+    # underflows to exactly 0 below; an index with any zero on the fitted grid
+    # reads +inf, while the others still fit their orders in one fit
+    m = kron_power(FqMatrix(2, [[1, 0], [1, 1]]), 3)
+    rep = polarization_exponents(m, erasure_family(2), [1e-40, 1e-41, 1e-42])
+    assert rep.profiles[0, 7] == rep.profiles[1, 7] == 0.0 < rep.profiles[2, 7]
+    assert math.isinf(rep.exponents[7]) and rep.to_dict()["per_index_exponents"][7] == "inf"
+    assert np.allclose(rep.exponents[:7], [1, 2, 2, 4, 2, 4, 4], atol=1e-9)
 
 
 def test_exponents_need_three_distinct_deltas():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polarkit.cli import resolve_kernel
-from polarkit.entropy import erasure_joint, polar_entropies
+from polarkit.entropy import _enumerated_entropies, _fold, erasure_joint, polar_entropies
 from polarkit.fqlin import (
     BUDGET_ENV,
     BudgetExceeded,
@@ -111,6 +111,8 @@ def test_boundary_values():
 
 
 def test_cross_oracle_against_entropy_engine():
+    # the engine reads erasure joints off these counts, so the oracle is its
+    # state enumeration
     rng = np.random.default_rng(9)
     zs = np.arange(0.1, 0.95, 0.1)
     for q in (2, 3):
@@ -118,8 +120,24 @@ def test_cross_oracle_against_entropy_engine():
             m = random_mixing(q, k, rng)
             eps = erasure_polynomials(m)
             for z in zs:
-                h = polar_entropies(m, erasure_joint(q, z)).h
+                h = _enumerated_entropies(m, _fold(erasure_joint(q, z)))
                 assert np.allclose(eps.evaluate(z), h, atol=1e-9)
+
+
+@pytest.mark.parametrize("name,q", [("arikan", 2), ("arikan2", 2), ("hamming7", 2), ("arikan", 3), ("arikan", 5)])
+def test_evaluate_matches_exact_arithmetic(name, q):
+    # every f_j(x) to 1e-15 relative, at x far below 1e-2 and near 1 too;
+    # also arikan^3 and arikan^4 over F_2
+    m = resolve_kernel(name, q)
+    for kernel in (m, kron_power(m, 3), kron_power(m, 4)) if (name, q) == ("arikan", 2) else (m,):
+        polys, k = erasure_polynomials(kernel), kernel.rows
+        xs = [0.0, 1e-12, 1e-6, 1e-4, 1e-2, 0.3, 0.5, 0.99, 1.0]
+        got = polys.evaluate(np.array(xs))
+        for x, row in zip(xs, got.tolist()):
+            x = Fraction(x)
+            for c, g in zip(polys.counts, row):
+                exact = sum(int(n) * x**w * (1 - x) ** (k - w) for w, n in enumerate(c))
+                assert (g == 0) if exact == 0 else abs(float(Fraction(g) / exact - 1)) <= 1e-15, (x, g)
 
 
 def test_singular_kernel_rejected():
