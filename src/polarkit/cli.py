@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__, channels, codec, entropy, kernelscope, polarlab
 from .fqlin import FqMatrix, kron
 
-BUILTIN_KERNELS = ("arikan", "arikan2", "hamming7")
-
 
 @functools.lru_cache(maxsize=None)
 def _hamming7() -> FqMatrix:

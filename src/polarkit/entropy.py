@@ -123,9 +123,6 @@ class EntropyProfile:
     def total(self) -> float:
         return float(self.h.sum())
 
-    def to_dict(self) -> dict:
-        return {"h": [float(x) for x in self.h], "sum": self.total}
-
 
 #: Law entries reduced per step of a level; bounds the readout's temporaries
 #: whatever the state count.

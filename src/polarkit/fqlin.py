@@ -282,7 +282,13 @@ def min_weight_search(a: FqMatrix, classes=None):
       support reaches off a row reduction of A[e, :].  One pass serves every
       class whose bound is at most w and stops after the first layer in
       which all of them have appeared;
-    - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each.
+    - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each:
+      one y per scalar multiple, and at the class's least weight one per
+      support, so these are counted, not stored.  Were y and y' of least
+      weight on one support and not proportional, then for some i in it
+      (any i, for class n) y'_i / y_i differs from the ratio of the leading
+      entries of y'A and yA, and y' - (y'_i / y_i) y is in the class on a
+      smaller support.
 
     w minimises the candidate count of the whole plan, and ``check_budget``
     refuses that count above 10^7 before anything is enumerated.  Each
@@ -307,20 +313,18 @@ def min_weight_search(a: FqMatrix, classes=None):
     check_budget("minimum-weight search", cost, 10**7)
 
     # limit[c] is k + 1 while a wanted class is unseen, then its least weight
-    # so far; it is 0 for the other classes, which filters them out for free
+    # so far, and count[c] the supports of that weight; limit is 0 for the
+    # other classes, which filters them out for free
     limit = np.zeros(n + 1, dtype=np.int64)
     limit[list(wanted)] = k + 1
-    found = {}  # class: number of least-weight supports
+    count = np.zeros(n + 1, dtype=np.int64)
     for v, reach in _binary_layers(a.arr, depth) if q == 2 else _pattern_layers(a.arr, q, depth):
-        for c in wanted:
-            if limit[c] > k and reach[c]:
-                limit[c], found[c] = v, int(reach[c])
+        _absorb(limit, count, np.flatnonzero(reach), v, reach[reach > 0])
         if all(limit[c] <= k for c in bound if bound[c] <= depth):
             break
 
     todo = [c for c in bound if bound[c] > depth and limit[c] > k]
     if todo:
-        seen = {c: set() for c in todo}
         # all combinations z of the rows from `start` on whose first nonzero
         # coefficient is a 1 on a row of a class to do: that row is among the
         # first `high` (any coefficients on the last `low`), or those are all 0
@@ -343,13 +347,11 @@ def min_weight_search(a: FqMatrix, classes=None):
             ys = (y_words @ span[high:] % q).astype(dtype)
             pair_class = np.broadcast_to(pair_class, (len(xs), len(ys)))
             for i0, j0, nz in _pair_supports(xs, ys, q):
-                _absorb(limit, seen, pair_class[i0 : i0 + nz.shape[0], j0 : j0 + nz.shape[1]], nz)
-        found.update((c, len(supports)) for c, supports in seen.items())
-
-    classes = classes.tolist()
-    weights = np.array([limit[c] if c in found else 0 for c in classes], dtype=np.int64)
-    supports = np.array([found.get(c, 0) for c in classes], dtype=np.int64)
-    return weights, supports
+                cls = pair_class[i0 : i0 + nz.shape[0], j0 : j0 + nz.shape[1]]
+                weight = nz.sum(axis=2)
+                hit = weight <= limit[cls]  # a cheap mask, so few candidates reach the scatters
+                _absorb(limit, count, cls[hit], weight[hit], 1)
+    return limit[classes], count[classes]
 
 
 #: Candidates handled per vectorised step of min_weight_search and of the
@@ -505,23 +507,15 @@ def _pair_supports(xs: np.ndarray, ys: np.ndarray, q: int):
             yield i0, j0, xs[i0 : i0 + step_x, None] != neg[None, j0 : j0 + step_y]
 
 
-def _absorb(limit, seen, cls, nz):
-    """Fold coset candidates of classes ``cls`` and supports ``nz`` into the
-    running least weights; a class whose least weight falls forgets its supports."""
-    weight = nz.sum(axis=2)
-    i, j = np.nonzero(weight <= limit[cls])
-    if not i.size:
-        return
-    cls, weight = cls[i, j], weight[i, j]
+def _absorb(limit, count, cls, weight, times):
+    """Fold ``times`` candidates of weight ``weight`` in class ``cls`` (arrays or
+    scalars) into the running least weights and their counts: a class whose
+    least weight falls restarts its count."""
     low = limit.copy()
     np.minimum.at(low, cls, weight)
-    for c in np.flatnonzero(low < limit):
-        limit[c] = low[c]
-        seen[int(c)].clear()
-    hit = weight == limit[cls]
-    packed = np.packbits(nz[i[hit], j[hit]], axis=1)
-    for c, key in zip(cls[hit].tolist(), packed):
-        seen[c].add(key.tobytes())
+    count[low < limit] = 0
+    limit[:] = low
+    np.add.at(count, cls, np.where(weight == limit[cls], times, 0))
 
 
 def kron(a: FqMatrix, b: FqMatrix) -> FqMatrix:

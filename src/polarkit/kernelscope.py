@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,15 +87,14 @@ class ContainmentWitness:
     """Witness for a useful containment R in M: M.arr[perm] @ T = [R; 0].
 
     ``perm`` is a row-selection array (row i of the permuted matrix is row
-    perm[i] of M).  ``alpha`` is the scale of the last nonzero row of T,
-    which usefulness requires to be alpha times the last standard basis row.
+    perm[i] of M).  Usefulness: the last nonzero row of T is alpha times the
+    last standard basis row, with alpha nonzero.
     """
 
     target: FqMatrix
     perm: np.ndarray
     T: FqMatrix
     alpha: int
-    useful: bool = True
 
     def witnessed_index(self) -> int:
         """Row index of the last nonzero row of T (0-based)."""
@@ -108,7 +107,6 @@ class ContainmentWitness:
             "perm": [int(p) for p in self.perm],
             "T": self.T.to_dict(),
             "alpha": int(self.alpha),
-            "useful": bool(self.useful),
         }
 
 
@@ -124,16 +122,12 @@ def verify_witness(w: ContainmentWitness, m: FqMatrix) -> bool:
         return False
     if prod[mt:].any():
         return False
-    if w.useful:
-        nonzero = np.flatnonzero(w.T.arr.any(axis=1))
-        if nonzero.size == 0:
-            return False
-        last = w.T.arr[nonzero[-1]]
-        expected = np.zeros(w.T.cols, dtype=np.int64)
-        expected[-1] = w.alpha % m.q
-        if w.alpha % m.q == 0 or not np.array_equal(last, expected):
-            return False
-    return True
+    nonzero = np.flatnonzero(w.T.arr.any(axis=1))
+    if nonzero.size == 0:
+        return False
+    expected = np.zeros(w.T.cols, dtype=np.int64)
+    expected[-1] = w.alpha % m.q
+    return bool(expected[-1]) and np.array_equal(w.T.arr[nonzero[-1]], expected)
 
 
 def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
@@ -165,25 +159,14 @@ def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
     target = FqMatrix(q, [[1, 0], [low2[r, s] * inv_ss, 1]])
 
     rowsel = np.array([s, r] + [i for i in range(k) if i not in (s, r)])
-    w_low = ContainmentWitness(target, rowsel, FqMatrix(q, np.column_stack([t1, t2])), alpha=int(t2[r]))
-    # L2 @ U1 = M[perm]; transporting by U1^{-1} rewrites the witness for it.
-    w_perm = _transport_witness(w_low, u1_inv)
-    witness = ContainmentWitness(w_perm.target, perm[w_perm.perm], w_perm.T, w_perm.alpha)
+    # L2[rowsel] @ [t1 t2] = [R; 0] and L2 @ U1 = M[perm], so U1^{-1} @ [t1 t2]
+    # works for M[perm[rowsel]]; U1^{-1} is unit upper-triangular, so it keeps
+    # T's last nonzero row t2[r] e_last
+    t = u1_inv @ FqMatrix(q, np.column_stack([t1, t2]))
+    witness = ContainmentWitness(target, perm[rowsel], t, alpha=int(t2[r]))
     if not verify_witness(witness, m):
         raise AssertionError("constructed containment witness failed verification")
     return witness
-
-
-def _transport_witness(w: ContainmentWitness, u: FqMatrix) -> ContainmentWitness:
-    """Carry a witness for R in M' to one for R in M' @ u^{-1}.
-
-    ``u`` must be unit upper-triangular; then replacing T by u @ T preserves
-    both the containment and the usefulness row, alpha included.
-    """
-    a = u.arr
-    if u.rows != u.cols or np.any(np.diag(a) != 1) or np.any(np.tril(a, -1)):
-        raise ValueError("transport requires a unit upper-triangular matrix")
-    return ContainmentWitness(w.target, w.perm, u @ w.T, w.alpha, w.useful)
 
 
 def tensor_witness(w: ContainmentWitness) -> ContainmentWitness:
@@ -192,8 +175,6 @@ def tensor_witness(w: ContainmentWitness) -> ContainmentWitness:
     (P kron P) (M kron M) (T kron T) = (P M T) kron (P M T); a further row
     gather moves the R-kron-R rows to the top.  Usefulness squares the alpha.
     """
-    if not w.useful:
-        raise ValueError("tensor lifting needs a useful witness")
     k = len(w.perm)
     mt = w.target.rows
     q = w.T.q
@@ -376,7 +357,6 @@ class KernelReport:
     exponents: np.ndarray | None
     eta: float | None
     b: int | None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def exponent(self) -> float | None:
@@ -393,22 +373,19 @@ class KernelReport:
 
     def to_dict(self) -> dict:
         dist = self.distance
-        if dist is not None and not isinstance(dist, str) and math.isinf(dist):
-            dist = "inf"
         return {
             "mixing": bool(self.mixing),
-            "distance": dist if dist is None or isinstance(dist, str) else int(dist),
+            "distance": dist if dist is None else "inf" if math.isinf(dist) else int(dist),
             "block_cols": self.block_cols,
             "exponents": None if self.exponents is None else [int(d) for d in self.exponents],
             "exponent": self.exponent,
             "eta": self.eta,
             "b": self.b,
             "witness": None if self.witness is None else self.witness.to_dict(),
-            "metadata": self.metadata,
         }
 
 
-def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> KernelReport:
+def kernel_report(m: FqMatrix, block_cols: int | None = None) -> KernelReport:
     """Assemble the standard report: mixing, H-witness, block distance, exponents.
 
     The block distance comes from one ``fqlin.min_weight_search`` within
@@ -433,9 +410,7 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None, metadata=None) -> 
             pass
         else:
             exponents, eta, b = lead.d, lead.eta, lead.b
-    return KernelReport(
-        mixing, witness, block_cols, distance, exponents, eta, b, metadata or {}
-    )
+    return KernelReport(mixing, witness, block_cols, distance, exponents, eta, b)
 
 
 @dataclass(frozen=True)
@@ -470,7 +445,7 @@ def build_high_distance_kernel(q, k: int, b: int, rng: np.random.Generator | Non
         # F_q^k, of distance 1 > 2b.  The lower-triangular all-ones matrix is
         # the canonical choice.
         m = FqMatrix(q, np.tril(np.ones((k, k), dtype=np.int64)))
-        report = kernel_report(m, block_cols=0, metadata={"q": q, "k": k, "b": 0})
+        report = kernel_report(m, block_cols=0)
         return BuiltKernel(m, 0, report.distance, report)
     if q == 2:
         m0_arr = _bch_block(k, b).arr
@@ -496,11 +471,10 @@ def build_high_distance_kernel(q, k: int, b: int, rng: np.random.Generator | Non
     else:
         raise ValueError("failed to complete the block to a mixing kernel")
 
-    distance = left_kernel_distance(FqMatrix(q, m.arr[:, :s]))
-    if not distance > 2 * b:
+    report = kernel_report(m, block_cols=s)
+    if not report.distance > 2 * b:
         raise AssertionError("completed kernel lost the block distance")
-    report = kernel_report(m, block_cols=s, metadata={"q": q, "k": k, "b": b})
-    return BuiltKernel(m, s, distance, report)
+    return BuiltKernel(m, s, report.distance, report)
 
 
 def _search_block(q: int, k: int, b: int, rng: np.random.Generator) -> np.ndarray:
@@ -550,25 +524,20 @@ def extract_high_distance_columns(m: FqMatrix, t0: int, s: int) -> ColumnSearch:
 
     exhaustive = n <= _EXHAUSTIVE_COLUMNS and math.comb(n, s) <= _EXHAUSTIVE_SUBSETS
     if exhaustive:
-        best_cols, best_dist = None, -1.0
+        best_cols, dist = None, -1
         for cols in itertools.combinations(range(n), s):
             d = block_distance(cols)
-            val = float("inf") if math.isinf(d) else d
-            if val > best_dist:
-                best_cols, best_dist = cols, val
+            if d > dist:
+                best_cols, dist = cols, d
     else:
-        chosen = []
+        # no picks: an empty block's left kernel is all of F_q^n
+        chosen, dist = [], 1
         remaining = list(range(n))
         for _ in range(s):
-            scored = []
-            for c in remaining:
-                d = block_distance(chosen + [c])
-                scored.append((float("inf") if math.isinf(d) else d, c))
-            best = max(scored, key=lambda dc: (dc[0], -dc[1]))
-            chosen.append(best[1])
-            remaining.remove(best[1])
+            dist, pick = max(((block_distance(chosen + [c]), c) for c in remaining), key=lambda dc: (dc[0], -dc[1]))
+            chosen.append(pick)
+            remaining.remove(pick)
         best_cols = tuple(chosen)
-    dist = block_distance(best_cols)
     order = list(best_cols) + [c for c in range(n) if c not in set(best_cols)]
     padded = FqMatrix(q, mt.arr[:, order])
     return ColumnSearch(tuple(best_cols), dist, is_mixing(padded), exhaustive)

@@ -22,6 +22,10 @@ DELETED = {
     "entropy.ExponentReport": {"fit_points"},
     "kernelscope.build_high_distance_kernel": {"attempts"},
     "kernelscope.extract_high_distance_columns": {"exhaustive_limit", "subset_budget"},
+    # every witness is useful, and no caller read the report's metadata
+    "kernelscope.ContainmentWitness": {"useful"},
+    "kernelscope.KernelReport": {"metadata"},
+    "kernelscope.kernel_report": {"metadata"},
     "polarlab.local_profile": {"grid", "factors", "depth"},
     "polarlab.LocalProfile.min_variance": {"tau"},
     # exact leading exponents at both ends replace the float suction scan
@@ -126,6 +130,8 @@ def test_helpers_without_outside_callers_stay_private():
     # and drop_side_info lives in tests/helpers.py
     assert "map_predictor" not in entropy.__all__ and not hasattr(entropy, "map_predictor")
     assert "transport_witness" not in kernelscope.__all__ and not hasattr(kernelscope, "transport_witness")
+    # find_useful_containment_H builds U1^-1 @ T in place and verifies the result
+    assert not hasattr(kernelscope, "_transport_witness")
     assert not hasattr(entropy.SymbolJoint, "drop_side_info")
 
 

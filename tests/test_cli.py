@@ -30,6 +30,14 @@ def test_analyze_kernel_arikan(tmp_path, capsys):
     assert "mixing=True" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel", ["arikan", "hamming7"])
+def test_analyze_kernel_json_keeps_only_what_is_read(kernel, capsys):
+    assert run_cli(["analyze-kernel", "--kernel", kernel]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert "metadata" not in result
+    assert set(result["witness"]) == {"target", "perm", "T", "alpha"}
+
+
 def test_analyze_kernel_hamming7(tmp_path):
     out = tmp_path / "h7.json"
     assert run_cli(["analyze-kernel", "--kernel", "hamming7", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Mixing tests, containment witnesses, distances, constructions."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from polarkit import kernelscope
 from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power, min_weight_search
 from polarkit.kernelscope import (
-    _transport_witness,
+    ContainmentWitness,
     build_high_distance_kernel,
     extract_high_distance_columns,
     find_useful_containment_H,
@@ -62,11 +63,11 @@ def test_containment_on_the_2x2_kernel_itself():
 
 def test_containment_random_mixing():
     rng = np.random.default_rng(23)
-    for q in (2, 3):
+    for q in (2, 3, 5):
         for _ in range(20):
             m = random_mixing(q, 4, rng)
             w = find_useful_containment_H(m)
-            assert w.useful and verify_witness(w, m)
+            assert verify_witness(w, m)
 
 
 def test_containment_requires_mixing():
@@ -74,31 +75,37 @@ def test_containment_requires_mixing():
         find_useful_containment_H(FqMatrix.identity(2, 3))
 
 
-def test_transport_identity_is_noop():
-    w = find_useful_containment_H(ARIKAN)
-    moved = _transport_witness(w, FqMatrix.identity(2, 2))
-    assert moved.T == w.T and moved.alpha == w.alpha
+def _witness_in_3x3():
+    # M[perm] @ T = [H; 0] with H = [[1,0],[1,1]], for a 3x3 mixing M over F_3
+    m = FqMatrix(3, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    t = FqMatrix(3, [[1, 0], [0, 1], [0, 0]])
+    return m, ContainmentWitness(FqMatrix(3, [[1, 0], [1, 1]]), np.array([0, 1, 2]), t, 1)
 
 
-def test_transport_rejects_non_unit_triangular():
-    w = find_useful_containment_H(ARIKAN)
-    with pytest.raises(ValueError, match="unit upper-triangular"):
-        _transport_witness(w, FqMatrix(2, [[1, 0], [1, 1]]))
+def test_verify_witness_accepts_the_reference():
+    m, w = _witness_in_3x3()
+    assert verify_witness(w, m)
 
 
-def test_transport_reverification():
-    # witness for M transported through U verifies against M @ U^{-1}
-    rng = np.random.default_rng(29)
-    for q in (2, 3, 5):
-        for _ in range(20):
-            m = random_mixing(q, 4, rng)
-            w = find_useful_containment_H(m)
-            u = np.triu(rng.integers(0, q, size=(4, 4)), 1) + np.eye(4, dtype=np.int64)
-            u = FqMatrix(q, u)
-            moved = _transport_witness(w, u)
-            target_matrix = m @ u.inverse()
-            assert verify_witness(moved, target_matrix)
-            assert moved.useful and moved.alpha == w.alpha
+# each change breaks one condition and keeps the others
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"perm": np.array([0, 0, 2])},
+        {"perm": np.array([0, 1, 3])},
+        # M @ T = [[1,0],[1,2]; 0], not [H; 0]; T's last nonzero row is 2 e_last
+        {"T": FqMatrix(3, [[1, 0], [0, 2], [0, 0]]), "alpha": 2},
+        # M @ T = [H; [0,1]]; T's last nonzero row is e_last
+        {"T": FqMatrix(3, [[1, 0], [0, 1], [0, 1]])},
+        # M[[0, 2, 1]] @ T = [H; 0], but T's last nonzero row is [1, 1]
+        {"perm": np.array([0, 2, 1]), "T": FqMatrix(3, [[1, 0], [2, 0], [1, 1]])},
+        {"alpha": 3},
+    ],
+    ids=["repeated_row", "row_out_of_range", "product_not_target", "nonzero_below_target", "last_row_not_basis", "alpha_zero_mod_q"],
+)
+def test_verify_witness_rejects(change):
+    m, w = _witness_in_3x3()
+    assert verify_witness(dataclasses.replace(w, **change), m) is False
 
 
 def test_tensor_witness_trivial():
@@ -232,9 +239,13 @@ def test_extract_columns_examples():
 
 def test_extract_columns_greedy_path(monkeypatch):
     monkeypatch.setattr(kernelscope, "_EXHAUSTIVE_COLUMNS", 4)
-    res = extract_high_distance_columns(ARIKAN, 3, 2)
-    assert not res.exhaustive
-    assert res.distance >= 2
+    power = kron_power(ARIKAN, 3)
+    for s in (0, 2, 5, 8):
+        res = extract_high_distance_columns(ARIKAN, 3, s)
+        assert not res.exhaustive and len(res.columns) == s
+        # the distance kept from the last pick is the chosen block's
+        assert res.distance == left_kernel_distance(FqMatrix(2, power.arr[:, list(res.columns)]))
+    assert extract_high_distance_columns(ARIKAN, 3, 2).distance >= 2
 
 
 def test_complete_columns_matches_greedy_rank_checks():
