@@ -31,11 +31,15 @@ def _hamming7() -> FqMatrix:
 
 
 def _read_json(spec: str):
-    """An inline JSON literal, or the contents of the JSON file it names."""
+    """An inline JSON literal, or the contents of the JSON file it names; a
+    file that cannot be read is bad input, a ValueError."""
     if spec.strip().startswith("{"):
         return json.loads(spec)
-    with open(spec) as fh:
-        return json.load(fh)
+    try:
+        with open(spec) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def resolve_kernel(spec: str, q: int) -> FqMatrix:
@@ -53,15 +57,21 @@ def resolve_kernel(spec: str, q: int) -> FqMatrix:
 
 
 def resolve_channel(spec: str, q: int) -> channels.Channel:
-    """Channel from 'erasure:Z', 'qsc:EPS', or a JSON file / inline literal."""
+    """Channel from 'erasure:Z', 'qsc:EPS', or a JSON file / inline literal.
+
+    A literal other than {"kind": "qsc" | "erasure", "q", "param"}, with a
+    real param, or {"kind": "table", "q", "w"} raises a ValueError.
+    """
     if spec.strip().startswith("{") or spec.endswith(".json"):
         raw = _read_json(spec)
-        kind = raw.get("kind", "table")
-        if kind == "qsc":
-            return channels.make_qsc(raw["q"], raw["param"])
-        if kind == "erasure":
-            return channels.make_erasure(raw["q"], raw["param"])
-        return channels.make_table_channel(raw["q"], raw["w"])
+        kind = raw.get("kind", "table") if isinstance(raw, dict) else None
+        if kind not in ("qsc", "erasure", "table") or not {"q", "w" if kind == "table" else "param"} <= raw.keys():
+            raise ValueError('a channel literal needs "q" and, by its "kind", "param" (qsc, erasure) or "w" (table)')
+        if kind == "table":
+            return channels.make_table_channel(raw["q"], raw["w"])
+        if not isinstance(raw["param"], (int, float)) or isinstance(raw["param"], bool):
+            raise ValueError(f"channel param must be a real number; got {raw['param']!r}")
+        return (channels.make_qsc if kind == "qsc" else channels.make_erasure)(raw["q"], raw["param"])
     kind, _, param = spec.partition(":")
     if kind == "erasure":
         return channels.make_erasure(q, float(param))

@@ -278,10 +278,10 @@ def min_weight_search(a: FqMatrix, classes=None):
     - the supports of weight 1, 2, ..., w, C(k, v) in layer v: a class's
       least weight is the first layer in which a support reaches it, and its
       count is how many supports of that layer do.  Over F_2 a support is
-      one y; over larger fields ``_pattern_layers`` reads the classes a
+      one y; over larger fields ``_support_counts`` reads the classes a
       support reaches off a row reduction of A[e, :].  One pass serves every
-      class whose bound is at most w and stops after the first layer in
-      which all of them have appeared;
+      class whose bound is at most w, and needs the layers up to the largest
+      least weight among them only;
     - its rows' cosets y_i + span(y_{i+1}, ...), q^(k-1-i) vectors each:
       one y per scalar multiple, and at the class's least weight one per
       support, so these are counted, not stored.  Were y and y' of least
@@ -292,8 +292,8 @@ def min_weight_search(a: FqMatrix, classes=None):
 
     w minimises the candidate count of the whole plan, and ``check_budget``
     refuses that count above 10^7 before anything is enumerated.  Each
-    numpy step takes _SEARCH_CHUNK candidates or so, so memory stays
-    bounded, apart from the pattern layers kept.
+    numpy step takes _SEARCH_CHUNK candidates or so, and the support walk
+    keeps one block per layer, so memory stays bounded.
     """
     q, k, n = a.q, a.rows, a.cols
     classes = np.arange(n + 1) if classes is None else np.asarray(list(classes), dtype=np.int64)
@@ -318,9 +318,11 @@ def min_weight_search(a: FqMatrix, classes=None):
     limit = np.zeros(n + 1, dtype=np.int64)
     limit[list(wanted)] = k + 1
     count = np.zeros(n + 1, dtype=np.int64)
-    for v, reach in _binary_layers(a.arr, depth) if q == 2 else _pattern_layers(a.arr, q, depth):
+    layered = {c: b for c, b in bound.items() if b <= depth}
+    layers = _binary_layers(a.arr, depth) if q == 2 else enumerate(_support_counts(a.arr, q, depth, layered)[1:], 1)
+    for v, reach in layers:
         _absorb(limit, count, np.flatnonzero(reach), v, reach[reach > 0])
-        if all(limit[c] <= k for c in bound if bound[c] <= depth):
+        if all(limit[c] <= k for c in layered):
             break
 
     todo = [c for c in bound if bound[c] > depth and limit[c] > k]
@@ -355,7 +357,7 @@ def min_weight_search(a: FqMatrix, classes=None):
 
 
 #: Candidates handled per vectorised step of min_weight_search and of the
-#: erasure-pattern pass.
+#: support walk.
 _SEARCH_CHUNK = 1 << 14
 
 
@@ -401,65 +403,84 @@ def _weight_layer(rows: np.ndarray, w: int) -> np.ndarray:
     return np.bitwise_xor.reduce(rows.astype(np.uint8)[supp], axis=1)
 
 
-def _pattern_layers(a: np.ndarray, q: int, depth: int):
-    """(w, reach) per w = 1..depth: reach[c] counts the weight-w supports reaching class c.
+def _support_counts(a: np.ndarray, q: int, depth: int, bound=None) -> np.ndarray:
+    """counts[w, c]: the weight-w supports that reach lead class c, w = 0..depth.
 
     Support e reaches the lead classes of the nonzero y supported on it: the
     pivot columns of A[e, :], and n = A's column count when its rows are
-    dependent.  e + {i} with i > max(e) keeps its parent e's reduced echelon
-    rows, with A[i] reduced against them: the residue's first nonzero column
-    is the new pivot, that row is normalised and cleared from the others,
-    and a zero residue stays as a zero row whose pivot is n.  Layers are
-    sorted by max(e), so the parents of the children that add row i are a
-    prefix, and a layer's (parent, row) pairs are reduced _SEARCH_CHUNK at a
-    time.  Rows span n + 1 columns, the last always 0, held in the smallest
-    unsigned dtype for q - 1 and reduced in the smallest for n(q - 1)^2 + q,
-    which bounds every sum; the last layer is counted, not kept.  The
-    sum_{v <= depth} C(k, v) supports meet the erasure-pattern budget of
-    2^20 before any layer is built.
+    dependent.  The walk is depth first: e + {i} with i > max(e) keeps e's
+    reduced echelon rows, with A[i] reduced against them: the residue's
+    first nonzero column is the new pivot, that row is normalised and cleared
+    from the others, and a zero residue stays as a zero row whose pivot is n.
+    Children are built about _SEARCH_CHUNK at a time, and a block is counted
+    and walked before the next is built, so memory is set by depth x chunk,
+    not by the largest layer.  Rows span n + 1 columns, the last always 0,
+    held in the smallest unsigned dtype for q - 1 and reduced in the
+    smallest for n(q - 1)^2 + q, which bounds every sum.
+
+    With ``bound``, a map from classes to bounds on their least weights, the
+    walk builds weight w only while w <= max_c min(bound[c], least weight
+    seen), and returns the layers up to that cap's final value, the largest
+    least weight: those are complete.  The caller counts the walk's work.
     """
     k, n = a.shape
     depth = min(depth, k)
-    check_budget("erasure-pattern", sum(math.comb(k, v) for v in range(depth + 1)), 1 << 20)
     store, work = np.min_scalar_type(q - 1), np.min_scalar_type(n * (q - 1) ** 2 + q)
     padded = np.zeros((k, n + 1), dtype=work)
     padded[:, :n] = a
-    rows = np.zeros((1, 0, n + 1), dtype=store)  # weight 0: the empty support
-    pivots = np.zeros((1, 0), dtype=np.min_scalar_type(n))
-    for w in range(depth):
-        # parents with max(e) < i are the first C(i, w) of the layer; their
-        # children follow the C(i, w + 1) children whose max is below i
-        sizes = [math.comb(i, w) for i in range(w, k)]
-        parent = np.concatenate([np.arange(size) for size in sizes])
-        added = np.repeat(np.arange(w, k), sizes)
-        kept = w + 1 < depth
-        if kept:
-            next_rows = np.empty((len(parent), w + 1, n + 1), dtype=store)
-            next_pivots = np.empty((len(parent), w + 1), dtype=pivots.dtype)
-        reach = np.zeros(n + 1, dtype=np.int64)
-        for lo in range(0, len(parent), _SEARCH_CHUNK):
-            chunk = slice(lo, lo + _SEARCH_CHUNK)
-            row, piv = padded[added[chunk]], pivots[parent[chunk]]
-            basis = rows[parent[chunk]].astype(work, copy=False)
-            spent = _reduce(np.einsum("cw,cwn->cn", np.take_along_axis(row, piv, axis=1), basis), q)
-            residue = _reduce(row + q - spent, q)
-            nonzero = residue != 0
-            nonzero[:, n] = True
-            lead = nonzero.argmax(axis=1)
-            at = np.arange(len(row))
+    counts = np.zeros((depth + 1, n + 1), dtype=np.int64)
+    cap = depth if bound is None else min(depth, max(bound.values(), default=0))
+
+    def grow(rows, pivots, top, w):
+        # count the weight-w children of these supports (top = max(e) + 1 < k)
+        # and return those still to walk; the ones adding row k - 1 have no
+        # children, so they come last and are counted, not kept
+        nonlocal bound, cap
+        inner = k - 1 - top
+        parent = np.repeat(np.arange(len(top)), inner)
+        added = np.arange(len(parent)) - np.repeat(np.cumsum(inner) - inner - top, inner)
+        kept = len(parent)
+        parent = np.concatenate([parent, np.arange(len(top))])
+        added = np.concatenate([added, np.full(len(top), k - 1)])
+        row, at, piv = padded[added], np.arange(len(added)), pivots[parent]
+        basis = rows[parent].astype(work, copy=False)
+        spent = _reduce(np.einsum("cw,cwn->cn", row[at[:, None], piv], basis), q)
+        residue = _reduce(row + q - spent, q)
+        nonzero = residue != 0
+        nonzero[:, n] = True
+        lead = nonzero.argmax(axis=1)
+        piv = np.concatenate([piv, lead[:, None].astype(piv.dtype)], axis=1)
+        counts[w, :n] += np.bincount(piv.ravel(), minlength=n + 1)[:n]
+        counts[w, n] += np.count_nonzero((piv == n).any(axis=1))
+        if bound:  # each bound falls to the least weight seen
+            bound = {c: min(b, w) if counts[w, c] else b for c, b in bound.items()}
+            cap = min(depth, max(bound.values()))
+        if w >= cap or not kept:
+            return None
+        basis, residue, lead, at = basis[:kept], residue[:kept], lead[:kept], at[:kept]
+        if q > 2:  # over F_2 the lead is already 1
             residue = _reduce(residue * _inverses(residue[at, lead], q)[:, None], q)
-            # basis -= basis[:, :, lead] * residue, negating the small factor
-            column = _reduce(q - basis[at, :, lead], q)
-            basis = _reduce(basis + column[:, :, None] * residue[:, None, :], q)
-            piv = np.hstack([piv, lead[:, None].astype(piv.dtype)])
-            reach[:n] += np.bincount(piv.ravel(), minlength=n + 1)[:n]
-            reach[n] += np.count_nonzero((piv == n).any(axis=1))
-            if kept:
-                next_rows[chunk] = np.concatenate([basis, residue[:, None]], axis=1)
-                next_pivots[chunk] = piv
-        yield w + 1, reach
-        if kept:
-            rows, pivots = next_rows, next_pivots
+        # basis -= basis[:, :, lead] * residue, negating the small factor
+        column = _reduce(q - basis[at, :, lead], q)
+        child = np.empty((kept, w, n + 1), dtype=store)
+        child[:, :-1] = _reduce(basis + column[:, :, None] * residue[:, None, :], q)
+        child[:, -1] = residue
+        return child, piv[:kept].copy(), added[:kept] + 1
+
+    def walk(rows, pivots, top):
+        # grow's temporaries are freed before the descent: a level holds its kept rows
+        w = rows.shape[1] + 1
+        ends = np.cumsum(k - top)
+        lo = 0
+        while lo < len(top) and w <= cap:
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - (k - top[lo]) + _SEARCH_CHUNK, side="right")))
+            children = grow(rows[lo:hi], pivots[lo:hi], top[lo:hi], w)
+            if children:
+                walk(*children)
+            lo = hi
+
+    walk(np.zeros((1, 0, n + 1), dtype=store), np.zeros((1, 0), dtype=np.min_scalar_type(n)), np.zeros(1, dtype=np.intp))
+    return counts[: cap + 1]
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:

@@ -391,9 +391,9 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None) -> KernelReport:
     The block distance comes from one ``fqlin.min_weight_search`` within
     its default budget (POLARLAB_BUDGET, else 10^7 candidates) and raises
     BudgetExceeded beyond it.  The leading exponents come from
-    ``polarlab.leading_exponents``, the same search over every lead class;
-    over q > 2 its layers meet the erasure-pattern budget too.  Exponents
-    over budget are reported as None, as for a kernel that is not mixing.
+    ``polarlab.leading_exponents``, the same search over every lead class,
+    under the same budget.  Exponents over budget are reported as None, as
+    for a kernel that is not mixing.
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fqlin import FqMatrix, _pattern_layers, check_budget, min_weight_search, row_echelon
+from .fqlin import FqMatrix, _support_counts, check_budget, min_weight_search, row_echelon
 
 __all__ = [
     "ErasurePolynomialSet",
@@ -123,19 +123,18 @@ def erasure_polynomials(m: FqMatrix) -> ErasurePolynomialSet:
     """Enumerate all 2^k erasure patterns of an invertible kernel.
 
     c_j[w] is the number of weight-w patterns that reach lead class j in
-    ``fqlin._pattern_layers``, the pass behind ``min_weight_search``'s
-    layers over q > 2.  At the default budget of 2^20 patterns (k = 20) over
-    F_2, its two largest layers hold C(20, 10) and C(20, 11) patterns of 10
-    and 11 rows of 22 bytes (21 columns and a pivot), 81 MB.
+    ``fqlin._support_counts``, the walk behind ``min_weight_search``'s
+    layers over q > 2.  The 2^k patterns meet the erasure-pattern budget of
+    2^20 (k = 20) before the walk starts; the walk holds about one chunk of
+    patterns per weight, not a whole layer.
     """
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
     k = m.rows
     if len(row_echelon(m.arr, m.q)[1]) < k:
         raise ValueError("singular kernel")
-    counts = np.zeros((k, k + 1), dtype=np.int64)
-    for w, reach in _pattern_layers(m.arr, m.q, k):
-        counts[:, w] = reach[:k]
+    check_budget("erasure-pattern", 2**k, 1 << 20)
+    counts = _support_counts(m.arr, m.q, k)[:, :k].T.copy()
     counts.flags.writeable = False
     return ErasurePolynomialSet(m, counts)
 
@@ -175,7 +174,7 @@ def leading_exponents(m) -> LeadingExponents:
     Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
     weight and the number of least-weight supports in lead class j of
     ``fqlin.min_weight_search``, which raises BudgetExceeded when its plan
-    or its pattern layers are over budget.
+    is over budget.
     """
     if isinstance(m, ErasurePolynomialSet):
         return _count_exponents(m.counts)

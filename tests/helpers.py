@@ -203,3 +203,49 @@ def sample_outputs_3d(c, x, rng: np.random.Generator) -> np.ndarray:
     r = rng.random(size=x.shape)
     y = np.sum(r[..., None] >= cdf[x], axis=-1)
     return np.minimum(y, c.outputs - 1)
+
+
+def support_counts_layered(a: np.ndarray, q: int, depth: int) -> np.ndarray:
+    """counts[w, c]: the weight-w supports reaching lead class c, w = 0..depth,
+    one whole weight layer at a time, in int64; the oracle of
+    ``fqlin._support_counts``.
+
+    e + {i} with i > max(e) keeps its parent e's reduced echelon rows, with
+    A[i] reduced against them.  Layers are sorted by max(e), so the parents
+    of the children that add row i are a prefix, and a layer's (parent, row)
+    pairs are reduced 2^14 at a time.  Every support of a layer is kept to
+    build the next one.
+    """
+    k, n = a.shape
+    depth, chunk = min(depth, k), 1 << 14
+    inverse = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
+    padded = np.zeros((k, n + 1), dtype=np.int64)  # a zero row's pivot is n
+    padded[:, :n] = a
+    rows = np.zeros((1, 0, n + 1), dtype=np.int64)  # weight 0: the empty support
+    pivots = np.zeros((1, 0), dtype=np.int64)
+    counts = np.zeros((depth + 1, n + 1), dtype=np.int64)
+    for w in range(depth):
+        # parents with max(e) < i are the first C(i, w) of the layer; their
+        # children follow the C(i, w + 1) children whose max is below i
+        sizes = [math.comb(i, w) for i in range(w, k)]
+        parent = np.concatenate([np.arange(size) for size in sizes])
+        added = np.repeat(np.arange(w, k), sizes)
+        next_rows = np.empty((len(parent), w + 1, n + 1), dtype=np.int64)
+        next_pivots = np.empty((len(parent), w + 1), dtype=np.int64)
+        for lo in range(0, len(parent), chunk):
+            part = slice(lo, lo + chunk)
+            row, piv, basis = padded[added[part]], pivots[parent[part]], rows[parent[part]]
+            residue = (row - np.einsum("cw,cwn->cn", np.take_along_axis(row, piv, axis=1), basis)) % q
+            nonzero = residue != 0
+            nonzero[:, n] = True
+            lead = nonzero.argmax(axis=1)
+            at = np.arange(len(row))
+            residue = residue * inverse[residue[at, lead]][:, None] % q
+            basis = (basis - basis[at, :, lead][:, :, None] * residue[:, None, :]) % q
+            piv = np.hstack([piv, lead[:, None]])
+            counts[w + 1, :n] += np.bincount(piv.ravel(), minlength=n + 1)[:n]
+            counts[w + 1, n] += np.count_nonzero((piv == n).any(axis=1))
+            next_rows[part] = np.concatenate([basis, residue[:, None]], axis=1)
+            next_pivots[part] = piv
+        rows, pivots = next_rows, next_pivots
+    return counts

@@ -233,6 +233,34 @@ def test_analyze_kernel_rejects_a_non_integer_literal_exit_2(literal, message, c
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ('{"kind": "qsc"}', "a channel literal needs \"q\""),
+    ('{"kind": "table", "q": 2}', "a channel literal needs \"q\""),
+    ('{"kind": "bogus", "q": 2, "w": [[1, 0], [0, 1]]}', "a channel literal needs \"q\""),
+    ('[{"kind": "qsc", "q": 2, "param": 0.1}]', "a channel literal needs \"q\""),
+    ('{"kind": "qsc", "q": 2, "param": [0.1]}', "channel param must be a real number; got [0.1]"),
+    ('{"kind": "erasure", "q": 2, "param": null}', "channel param must be a real number; got None"),
+], ids=["qsc-no-q", "table-no-w", "unknown-kind", "list", "list-param", "null-param"])
+def test_malformed_channel_literal_exit_2(literal, message, tmp_path, capsys):
+    # these used to escape as a KeyError, an AttributeError or a TypeError, exit 1
+    path = tmp_path / "channel.json"
+    path.write_text(literal)
+    for spec in (literal, str(path)) if literal.startswith("{") else (str(path),):
+        args = ["simulate", "--channel", spec, "--t", "2", "--rate", "0.5", "--trials", "10", "--seed", "1"]
+        assert run_cli(args) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--kernel", "--channel"])
+def test_unreadable_input_file_exit_2(option, tmp_path, capsys):
+    # a directory where a JSON file belongs used to exit 1 with IsADirectoryError
+    directory = tmp_path / "input.json"
+    directory.mkdir()
+    args = ["simulate", "--channel", "erasure:0.3", "--t", "2", "--rate", "0.5", "--trials", "10", "--seed", "1"]
+    assert run_cli(args + [option, str(directory)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 def _reed_solomon(q):
     # M[i][l] = alpha_l^(k-1-i) with alpha_l = 2^l, k = q - 1; 2 is a
     # primitive root mod 11

@@ -19,7 +19,8 @@ from polarkit.fqlin import (
     tensor_apply,
 )
 
-from polarkit.kernelscope import is_mixing
+from polarkit.cli import resolve_kernel
+from polarkit.kernelscope import build_high_distance_kernel, is_mixing, random_mixing
 
 from helpers import (
     is_mixing_brute,
@@ -27,6 +28,7 @@ from helpers import (
     left_null_space,
     plu_oracle,
     random_invertible,
+    support_counts_layered,
     tensor_apply_dense,
 )
 
@@ -405,3 +407,57 @@ def test_min_weight_search_budget_is_checked_first(monkeypatch):
     assert w.tolist() == [1] * 12
     assert issubclass(BudgetExceeded, ValueError)
 
+
+
+def _walk_kernels():
+    """30 random kernels over F_2..F_7, arikan, hamming7, the k = 15 BCH
+    block kernel, a k = 12 F_3 Kronecker kernel and a random k = 18 F_2 one."""
+    rng = np.random.default_rng(35)
+    for q, ks in ((2, (3, 6, 9, 12)), (3, (2, 4, 6, 8)), (5, (3, 5, 7)), (7, (2, 4, 6, 8))):
+        for k in ks:
+            yield random_invertible(q, k, rng)
+            yield random_mixing(q, k, rng)
+    yield FqMatrix(2, [[1, 0], [1, 1]])
+    yield resolve_kernel("hamming7", 2)
+    yield build_high_distance_kernel(2, 15, 2).matrix
+    yield kron(random_mixing(3, 3, rng), random_mixing(3, 4, rng))
+    yield random_invertible(2, 18, rng)
+
+
+@pytest.mark.parametrize("m", list(_walk_kernels()), ids=lambda m: f"q{m.q}-k{m.rows}")
+def test_support_walk_matches_layered_oracle(m, monkeypatch):
+    # at the default chunk the k = 18 kernel's walk splits its layers into
+    # blocks; a 3-candidate chunk splits every layer past the first
+    expected = support_counts_layered(m.arr, m.q, m.rows)
+    for chunk in (fqlin._SEARCH_CHUNK, 3):
+        monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", chunk)
+        counts = fqlin._support_counts(m.arr, m.q, m.rows)
+        assert counts.dtype == expected.dtype and np.array_equal(counts, expected), chunk
+
+
+def test_forced_depth_search_absorbs_complete_layers_only(monkeypatch):
+    # a seeded draw where, with 3-candidate blocks and the layers forced to
+    # depth 3, the walk reaches weight 3 under the first supports before a
+    # weight-2 support lowers its cap to 2: layer 3 is then partial, and it
+    # holds class 6, whose least weight 3 the cosets must find
+    a = FqMatrix(3, [[0, 2, 2, 0, 0, 2, 1, 0, 2], [0, 1, 0, 2, 0, 2, 2, 2, 0], [1, 1, 1, 2, 0, 2, 0, 1, 2],
+                     [2, 0, 0, 0, 2, 0, 2, 0, 2], [2, 0, 1, 0, 2, 0, 1, 2, 1], [0, 0, 2, 0, 2, 2, 1, 0, 1],
+                     [1, 2, 1, 0, 1, 0, 0, 0, 1], [1, 0, 0, 2, 1, 0, 2, 1, 1]])
+    monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", 3)
+    monkeypatch.setattr(fqlin, "_plan", lambda *args: (3, 0))
+    walks = []
+    walk = fqlin._support_counts
+
+    def recording(*args):
+        walks.append((args, walk(*args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(fqlin, "_support_counts", recording)
+    least, supports = lead_class_weights_brute(a)
+    weights, counts = min_weight_search(a)
+    assert weights.tolist() == least.tolist() and counts.tolist() == supports.tolist()
+    # the walk returns its complete layers only: up to the largest least
+    # weight of the classes it was given
+    (args, rows), = walks
+    assert len(rows) - 1 == max(least[c] for c in args[3]) == 2
+    assert np.array_equal(rows, support_counts_layered(a.arr, 3, 3)[: len(rows)])

@@ -342,14 +342,24 @@ def test_kernel_report_reed_solomon_exponents(q):
     assert abs(rep.exponent - math.lgamma(k + 1) / (k * math.log(k))) < 1e-12
 
 
-def test_kernel_report_reed_solomon_f23_is_refused_before_any_layer():
+def test_kernel_report_reed_solomon_f23_exponents():
     # k = 22: the cheapest plan takes the layers of weight <= 21, 2^22 - 1
-    # supports, over the erasure-pattern budget of 2^20 (one coset serves d = 22)
-    m = _reed_solomon(23)
-    with pytest.raises(BudgetExceeded, match="^erasure-pattern budget exceeded: 4194303 > 1048576$"):
-        leading_exponents(m)
-    rep = kernel_report(m)
-    assert rep.mixing and rep.exponents is None and rep.to_dict()["exponent"] is None
+    # supports, and one coset serves d = 22; the walk holds a block of
+    # supports per weight, so only the search's own budget of 10^7 applies
+    k = 22
+    rep = kernel_report(_reed_solomon(23))
+    assert rep.mixing and rep.exponents.tolist() == list(range(1, k + 1))
+    assert abs(rep.exponent - math.lgamma(k + 1) / (k * math.log(k))) < 1e-12
+
+
+def test_left_kernel_distance_of_a_tall_projective_block():
+    # 200 distinct points of PG(5, 3) as rows: no two are proportional, so
+    # the least weight is 3, reached by three collinear points; its layers
+    # take C(200, 1) + C(200, 2) + C(200, 3) = 1333500 supports, within the
+    # search's budget, though over the 2^20 of a whole pattern pass
+    points = [p for p in itertools.product(range(3), repeat=6) if any(p) and p[np.flatnonzero(p)[0]] == 1]
+    pick = np.sort(np.random.default_rng(6).choice(len(points), 200, replace=False))
+    assert left_kernel_distance(FqMatrix(3, np.array(points)[pick])) == 3
 
 
 def test_kernel_report_budget(monkeypatch):

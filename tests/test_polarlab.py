@@ -1,11 +1,13 @@
 """Erasure polynomials, tree evolution, sampling, window reports."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from polarkit import fqlin
 from polarkit.cli import resolve_kernel
 from polarkit.entropy import _enumerated_entropies, _fold, erasure_joint, polar_entropies
 from polarkit.fqlin import (
@@ -460,6 +462,23 @@ def test_pattern_budget_guard():
     big = FqMatrix.identity(2, 21)
     with pytest.raises(BudgetExceeded, match="erasure-pattern budget exceeded: 2097152 > 1048576"):
         erasure_polynomials(big)
+
+
+def test_pattern_pass_memory_is_set_by_the_chunk(monkeypatch):
+    # the walk holds about one block of patterns per weight, so the chunk,
+    # not the middle layer's C(16, 8) patterns, sets the peak of a k = 16 pass
+    m = kron_power(ARIKAN, 4)
+    peaks = {}
+    for chunk in (fqlin._SEARCH_CHUNK, 64):
+        monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            erasure_polynomials(m)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak_default, peak_64 = peaks.values()
+    assert peak_64 < 2**20 < peak_default, peaks
 
 
 def _search_kernels():
