@@ -48,22 +48,23 @@ Decoding skips two kinds of subtree whose output is known exactly.  An
 all-frozen subtree returns its own codeword, the depth-l transform of its
 frozen values, cached per code.  Any other subtree above the leaves, down to
 the maximal all-information ones, returns the hard decisions c* = argmax pi
-of its inputs when it carries a certificate on every word of the batch: eta,
-the sum over its input positions of 1 - max_x pi(x), is below 1/4, and
-u* = c* M^{tensor l} carries the code's frozen values at the subtree's frozen
-positions.  Proof sketch, for any kernel over any F_q: at a node the
-hard-decision child word c* has weight prod_s pi_s(c*_s) >= 1 - sum_s eta_s,
-and conditioning on decisions that agree with v* = c*M only renormalises, so
-every child input is at least that sure of its v* digit and its own eta is at
-most the node's.  By induction every leaf's top posterior exceeds 3/4, far
-outside the tie window, so SC decides each information index as u* does, and
-each frozen index agrees with u* by the second condition: every decision
-agrees with u*, no node is dead, and the subtree's codeword is c*.  Where the
-frozen values contradict u*, the word has already failed upstream and the
-subtree recurses.  On erasure channels eta < 1/4 reads "no erased input".  In
-a batch, word 0's eta is tested first: every word must pass, so the test
-over the whole batch runs only where word 0's passes.  The decisions u are
-recovered from the root codeword as x M^{tensor t}.
+of its inputs when eta, the sum over its input positions of 1 - max_x pi(x),
+is below 1/4 on every word of the batch.  Proof sketch, for any kernel over
+any F_q: at a node the hard-decision child word c* has weight prod_s
+pi_s(c*_s) >= 1 - sum_s eta_s, and conditioning on decisions that agree with
+v* = c*M only renormalises, so every child input is at least that sure of its
+v* digit and its own eta is at most the node's.  By induction every leaf's
+top posterior exceeds 3/4, far outside the tie window, so SC decides each
+information index as u* = c* M^{tensor l} does; if u* carries the frozen
+values too, every decision agrees with u*, no node is dead, and the subtree's
+codeword is c*.  That last condition is checked once per word: a certified
+subtree's block of the final u is its u*, so a word whose u carries every
+frozen value has SC's decisions.  The other words (on erasure channels, only
+words SC fails) are decoded again, certifying only the subtrees that hold no
+frozen index.  On erasure channels eta < 1/4 reads "no erased input".  In a
+batch, word 0's eta is tested first, so the test over the whole batch runs
+only where word 0's passes.  The decisions u are recovered from the root
+codeword as x M^{tensor t}.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ class PolarCode:
     def __post_init__(self):
         # ``info`` and the SC plan are cached from these, so they must not change
         for name in ("frozen", "frozen_values"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr = np.asarray(getattr(self, name))
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers; got an array of {arr.dtype}")
+            arr = arr.astype(np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # encode and the SC plan both read frozen_values[i] as the value of
@@ -194,16 +198,14 @@ class _ScPlan(NamedTuple):
     codeword, so every frozen index, a one-index subtree at least, is
     answered there and never reaches the leaf.  ``certify`` holds the nodes
     above the leaves that try the certificate: every maximal all-information
-    subtree and every node with both kinds of index.  ``frozen`` and
-    ``values`` are the (N,) frozen mask and frozen values (0 elsewhere) that
-    the certificate reads by slicing a node's span, so the plan holds O(N)
-    entries and no per-node array.
+    subtree and every node with both kinds of index.  ``frozen_free`` is its
+    subset that holds no frozen index, where the certificate is exact
+    without the frozen check (see the module docstring).
     """
 
     rate0: dict
     certify: frozenset
-    frozen: np.ndarray
-    values: np.ndarray
+    frozen_free: frozenset
 
     @classmethod
     def build(cls, code: PolarCode) -> _ScPlan:
@@ -213,7 +215,7 @@ class _ScPlan(NamedTuple):
         values = np.zeros(n, dtype=np.int64)
         values[code.frozen] = code.frozen_values % code.q  # as encode reads them
         inv = _inverse(code.kernel)
-        rate0, certify = {}, set()
+        rate0, certify, frozen_free = {}, set(), set()
 
         def visit(level, base):
             span = slice(base, base + k**level)
@@ -222,16 +224,16 @@ class _ScPlan(NamedTuple):
                 codeword = tensor_apply(inv, level, values[span])
                 codeword.flags.writeable = False
                 rate0[level, base] = codeword
-                return
-            if level > 0:
+            elif level > 0:
                 certify.add((level, base))
-                if mask[span].any():
-                    for a in range(k):
-                        visit(level - 1, base + a * k ** (level - 1))
+                if not mask[span].any():
+                    frozen_free.add((level, base))
+                    return
+                for a in range(k):
+                    visit(level - 1, base + a * k ** (level - 1))
 
         visit(code.t, 0)
-        mask.flags.writeable = values.flags.writeable = False
-        return cls(rate0, frozenset(certify), mask, values)
+        return cls(rate0, frozenset(certify), frozenset(frozen_free))
 
 
 @lru_cache(maxsize=32)
@@ -278,22 +280,19 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     rest of the recursion conditions on.  All per-run state lives in the leaf.
     Returns the (k^t, B) codeword x of the decisions, x M^{tensor t} = u.
 
-    With a ``plan``, subtrees whose output is known without recursing are
-    answered directly (see the module docstring), and the leaf is not called
-    for their indices.
+    With a ``plan``, all-frozen subtrees and the ``plan.certify`` subtrees
+    whose eta passes are answered directly, and the leaf is not called for
+    their indices; ``_decode_batch`` checks the frozen values per word.
     """
     q, k = kernel.q, kernel.rows
     _, n, b = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
     order, words, _ = _v_table(kernel, n)
-    if plan is None:
-        rate0, certify = {}, frozenset()
-    else:
-        rate0, certify, frozen, values = plan
+    rate0, certify = ({}, frozenset()) if plan is None else (plan.rate0, plan.certify)
 
-    def certified(pi, level, base):
-        """c* = argmax pi when the certificate holds on every word, else None."""
+    def certified(pi):
+        """c* = argmax pi when eta < 1/4 on every word, else None."""
         # word 0 alone first: every word must pass, so a large batch pays the
         # whole test only where word 0 passes
         if b > 1 and not (1.0 - pi[:, :, 0].max(axis=0)).sum() < 0.25:
@@ -305,17 +304,11 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
         c = np.zeros(top.shape, dtype=np.int64)
         for x in range(1, q):
             c[pi[x] > 0.5] = x
-        # frozen decisions are fiat, so u* = c* M^{tensor level} must carry
-        # the frozen values
-        span = slice(base, base + len(top))
-        fixed = frozen[span]
-        if fixed.any() and not (tensor_apply(kernel, level, c.T)[:, fixed] == values[span][fixed]).all():
-            return None
         return c
 
     def node(pi, level, base):
         if (level, base) in certify:
-            c = certified(pi, level, base)
+            c = certified(pi)
             if c is not None:
                 return c
         sub = pi.shape[1] // k
@@ -496,19 +489,26 @@ def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarra
 
     The plan answers every frozen index, so the leaf decides information
     indices only.  Words are decoded in groups that fit the "SC node
-    weights" budget (see ``_v_table``).
+    weights" budget (see ``_v_table``).  Words whose u misses a frozen value
+    are decoded again, in such groups, certifying frozen-free subtrees only.
     """
-    group = _v_table(code.kernel, code.block_length)[2]
+    kernel, t, plan = code.kernel, code.t, code._sc_plan
+    group = _v_table(kernel, code.block_length)[2]
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
         return np.argmax(p - tie, axis=1)
 
-    x_hat = [
-        _sc(code.kernel, _channel_posteriors(channel, y[lo:lo + group]), code.t, leaf, code._sc_plan)
-        for lo in range(0, len(y), group)
-    ]
-    return tensor_apply(code.kernel, code.t, np.concatenate(x_hat, axis=1).T)
+    def decode(y, plan):
+        x_hat = [_sc(kernel, _channel_posteriors(channel, y[lo:lo + group]), t, leaf, plan)
+                 for lo in range(0, len(y), group)]
+        return tensor_apply(kernel, t, np.concatenate(x_hat, axis=1).T)
+
+    u = decode(y, plan)
+    missed = np.flatnonzero((np.take(u, code.frozen, axis=1) != code.frozen_values % code.q).any(axis=1))
+    if missed.size:
+        u[missed] = decode(y[missed], plan._replace(certify=plan.frozen_free))
+    return u
 
 
 def sc_decode(code: PolarCode, y) -> DecodeResult:

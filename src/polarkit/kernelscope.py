@@ -140,7 +140,11 @@ def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
     columns, and transport the resulting witness back through U1.  The
     returned witness verifies against M itself.
     """
-    u1 = _mixing_echelon(m)
+    return _containment_witness(m, _mixing_echelon(m))
+
+
+def _containment_witness(m: FqMatrix, u1) -> ContainmentWitness:
+    """``find_useful_containment_H`` from ``_mixing_echelon(m)``, which it does not recompute."""
     if u1 is None:
         raise ValueError("no containment: matrix is not mixing")
     q, k = m.q, m.rows
@@ -397,8 +401,9 @@ def kernel_report(m: FqMatrix, block_cols: int | None = None) -> KernelReport:
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")
-    mixing = is_mixing(m)
-    witness = find_useful_containment_H(m) if mixing else None
+    u1 = _mixing_echelon(m)
+    mixing = u1 is not None
+    witness = _containment_witness(m, u1) if mixing else None
     distance = None
     if block_cols is not None:
         distance = left_kernel_distance(FqMatrix(m.q, m.arr[:, :block_cols]))

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ def test_frozen_values_act_mod_q():
 def test_code_rejects_an_inconsistent_frozen_set(frozen, values, message):
     with pytest.raises(ValueError, match=message):
         PolarCode(ARIKAN, 2, make_erasure(2, 0.3), frozen, values, np.zeros(4))
+
+
+@pytest.mark.parametrize("frozen, values, message", [
+    # a cast built frozen [0, 1] with values [0, 1]
+    ([0.9, 1.5], [0.7, 1.2], "frozen must be integers; got an array of float64"),
+    ([0, 1], [0.5, 1.0], "frozen_values must be integers; got an array of float64"),
+    # a cast read the mask as the indices [1, 0]
+    (np.array([True, False]), [1, 0], "frozen must be integers; got an array of bool"),
+], ids=["fractional_indices", "fractional_values", "bool_mask"])
+def test_code_rejects_non_integer_frozen_arrays(frozen, values, message):
+    with pytest.raises(ValueError, match=message):
+        PolarCode(ARIKAN, 2, make_erasure(2, 0.3), frozen, values, np.zeros(4))
+    # an empty list has no integer dtype, and stays a valid frozen set
+    assert PolarCode(ARIKAN, 2, make_erasure(2, 0.3), [], [], np.zeros(4)).rate == 1.0
 
 
 def test_construct_threshold_variant():
@@ -702,6 +717,30 @@ def test_genie_truth_relative_table_is_budgeted(monkeypatch):
         genie_error_rates(ARIKAN, make_qsc(2, 0.1), 2, 10, np.random.default_rng(0))
 
 
+class _Pass(NamedTuple):
+    """One ``_sc`` call of ``_decode_batch``."""
+
+    pi: np.ndarray
+    frozen_free: bool  # the re-decode's plan, certifying frozen-free subtrees only
+    leaves: list  # the indices its leaf was called for
+    x_hat: np.ndarray
+
+
+def _record_passes(monkeypatch) -> list:
+    """Record every ``_sc`` call that ``codec`` makes, as a ``_Pass``."""
+    passes = []
+    sc = codec._sc
+
+    def recording(kernel, pi, t, leaf, plan):
+        leaves = []
+        x_hat = sc(kernel, pi, t, lambda i, p: leaves.append(i) or leaf(i, p), plan)
+        passes.append(_Pass(pi, plan.certify is plan.frozen_free, leaves, x_hat))
+        return x_hat
+
+    monkeypatch.setattr(codec, "_sc", recording)
+    return passes
+
+
 def test_grouped_decode_matches_the_whole_batch(monkeypatch):
     # arikan t=8 weighs 4 * 128 = 512 floats per word at the top node; a
     # budget of seven words' weights decodes 100 words in groups of 7
@@ -709,16 +748,23 @@ def test_grouped_decode_matches_the_whole_batch(monkeypatch):
     code = construct_code(ARIKAN, make_erasure(2, 0.3), 8, rate=0.5, rng=rng)
     y = sample_outputs(code.channel, encode(code, rng.integers(0, 2, size=(100, len(code.info)))), rng)
     whole = _decode_batch(code, y, code.channel)
-    sizes = []
 
-    def recording(kernel, pi, t, leaf, plan=None):
-        sizes.append(pi.shape[2])
-        return _sc(kernel, pi, t, leaf, plan)
-
-    monkeypatch.setattr(codec, "_sc", recording)
+    passes = _record_passes(monkeypatch)
     monkeypatch.setenv("POLARLAB_BUDGET", str(7 * 512))
     assert np.array_equal(_decode_batch(code, y, code.channel), whole)
-    assert sizes == [7] * 14 + [2]
+    assert [p.pi.shape[2] for p in passes if not p.frozen_free] == [7] * 14 + [2]
+    assert all(p.pi.shape[2] <= 7 for p in passes)
+
+    # 50 noiseless words, each contradicting one frozen value: every group's
+    # root certificate holds, all 50 miss a frozen value, and the re-decode
+    # runs them in groups of the same budget
+    u = rng.integers(0, 2, size=(50, code.block_length))
+    u[:, code.frozen] = code.frozen_values
+    u[np.arange(50), rng.choice(code.frozen, 50)] ^= 1
+    x = tensor_apply(ARIKAN.inverse(), 8, u)
+    passes.clear()
+    assert np.array_equal(_decode_batch(code, x, code.channel), reference_decode(code, x, code.channel))
+    assert [(p.pi.shape[2], p.frozen_free) for p in passes] == [(7, False)] * 7 + [(1, False)] + [(7, True)] * 7 + [(1, True)]
     monkeypatch.setenv("POLARLAB_BUDGET", "511")
     with pytest.raises(BudgetExceeded, match=r"^SC node weights budget exceeded: 512 > 511$"):
         _decode_batch(code, y, code.channel)
@@ -791,6 +837,57 @@ def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
     assert np.array_equal(singles, u_hat)
 
 
+@pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
+@pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
+def test_frozen_values_are_checked_once_per_word(name, kind, monkeypatch):
+    # the certificate tests eta alone, so it also holds on words that
+    # contradict a frozen value; their first-pass u misses it, and exactly
+    # those words are decoded again, to SC's decisions
+    rng = np.random.default_rng(89)
+    kernel, t, frozen, values = _pruning_case(name, "tree", rng)
+    q, n = kernel.q, kernel.rows**t
+    ch = {"noiseless": make_erasure(q, 0.0), "erasure": make_erasure(q, 0.05), "qsc": make_qsc(q, 0.01)}[kind]
+    code = PolarCode(kernel, t, ch, frozen, values, np.zeros(n))
+    # words 16-31 each contradict one frozen value
+    u = rng.integers(0, q, size=(32, n))
+    u[:, frozen] = values
+    hit = (16 + np.arange(16), rng.choice(frozen, 16))
+    u[hit] = (u[hit] + 1) % q
+    y = sample_outputs(ch, tensor_apply(kernel.inverse(), t, u), rng)
+    ref = reference_decode(code, y, ch)
+    passes = _record_passes(monkeypatch)
+
+    def decode(words):
+        """u of ``y[words]``, and the words whose first-pass u misses a frozen value."""
+        passes.clear()
+        u_hat = _decode_batch(code, y[words], ch)
+        first = tensor_apply(kernel, t, passes[0].x_hat.T)
+        missed = np.flatnonzero((first[:, frozen] != values).any(axis=1))
+        assert [p.frozen_free for p in passes] == [False] + [True] * bool(missed.size)
+        if missed.size:
+            assert np.array_equal(passes[1].pi, _channel_posteriors(ch, y[words][missed]))
+        return u_hat, missed
+
+    u_hat, batch_missed = decode(slice(None))
+    assert np.array_equal(u_hat, ref)
+    redecoded = []
+    for i in range(len(y)):
+        u_hat, missed = decode(slice(i, i + 1))
+        assert np.array_equal(u_hat[0], ref[i])
+        redecoded.extend(i + missed)
+    assert redecoded
+    if kind != "qsc":
+        # an erasure channel never makes a hard decision wrong: a word that
+        # carries its frozen values is decoded correctly wherever certified
+        assert set(redecoded) <= set(range(16, 32))
+    if kind == "noiseless":
+        # every certificate holds, down from the root
+        assert redecoded == batch_missed.tolist() == list(range(16, 32))
+        # a batch that carries its frozen values makes a single pass
+        decode(slice(0, 16))
+        assert len(passes) == 1
+
+
 def _leaf_calls(code, y, ch):
     """Decode (B, N) words through the code's plan.
 
@@ -850,14 +947,17 @@ def test_pruning_shortcuts_fire(name, monkeypatch):
     assert calls == [] and nodes == []
     assert np.array_equal(x_hat, x)
 
-    # one word contradicts the last frozen value: u* fails the frozen check
-    # for the batch, the information indices after it meet a dead node and
-    # their leaves run, and SC's decisions stand
+    # one word contradicts the last frozen value: the root's certificate still
+    # holds, but that word's u misses the frozen value, so it alone is decoded
+    # again; there the information indices after it meet a dead node and their
+    # leaves run, and SC's decisions stand
     u[3, frozen[-1]] = (values[-1] + 1) % q
     x = tensor_apply(inv, t, u)
-    x_hat, calls = _leaf_calls(code, x, noiseless)
-    assert calls and nodes
-    assert np.array_equal(tensor_apply(kernel, t, x_hat), reference_decode(code, x, noiseless))
+    passes = _record_passes(monkeypatch)
+    assert np.array_equal(_decode_batch(code, x, noiseless), reference_decode(code, x, noiseless))
+    assert [(p.pi.shape[2], p.frozen_free) for p in passes] == [(8, False), (1, True)]
+    assert passes[0].leaves == [] and passes[1].leaves and nodes
+    assert np.array_equal(passes[1].pi, _channel_posteriors(noiseless, x[3:4]))
 
 
 def test_dead_nodes_at_high_fer_match_reference_recursion(monkeypatch):
