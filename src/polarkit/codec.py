@@ -57,14 +57,18 @@ v* digit and its own eta is at most the node's.  By induction every leaf's
 top posterior exceeds 3/4, far outside the tie window, so SC decides each
 information index as u* = c* M^{tensor l} does; if u* carries the frozen
 values too, every decision agrees with u*, no node is dead, and the subtree's
-codeword is c*.  That last condition is checked once per word: a certified
-subtree's block of the final u is its u*, so a word whose u carries every
-frozen value has SC's decisions.  The other words (on erasure channels, only
-words SC fails) are decoded again, certifying only the subtrees that hold no
-frozen index.  On erasure channels eta < 1/4 reads "no erased input".  In a
-batch, word 0's eta is tested first, so the test over the whole batch runs
-only where word 0's passes.  The decisions u are recovered from the root
-codeword as x M^{tensor t}.
+codeword is c*.  Where some input is uncertain (eta > 0), a confident hard
+decision may be wrong and SC's frozen fiat would correct it, so the node
+checks that u* carries the frozen values.  Where every input is certain
+(eta = 0), u* can miss one only if an earlier decision was wrong, on a word
+SC fails, so the check is made once per word: a certified subtree's block of
+the final u is its u*, and a word whose u misses a frozen value is decoded
+again, certifying only the subtrees that hold no frozen index.  A posterior
+that rounds to 1 counts as certain; the per-word check keeps that exact.  On
+erasure channels eta < 1/4 reads "no erased input", so eta = 0.  In a batch,
+word 0's eta is tested first, so the test over the whole batch runs only
+where word 0's passes.  The decisions u are recovered from the root codeword
+as x M^{tensor t}.
 """
 
 from __future__ import annotations
@@ -200,12 +204,17 @@ class _ScPlan(NamedTuple):
     above the leaves that try the certificate: every maximal all-information
     subtree and every node with both kinds of index.  ``frozen_free`` is its
     subset that holds no frozen index, where the certificate is exact
-    without the frozen check (see the module docstring).
+    without the frozen check (see the module docstring).  ``frozen`` and
+    ``values`` are the (N,) frozen mask and frozen values (0 elsewhere) that
+    the node's frozen check reads by slicing a node's span, so the plan holds
+    O(N) entries and no per-node array.
     """
 
     rate0: dict
     certify: frozenset
     frozen_free: frozenset
+    frozen: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def build(cls, code: PolarCode) -> _ScPlan:
@@ -233,7 +242,8 @@ class _ScPlan(NamedTuple):
                     visit(level - 1, base + a * k ** (level - 1))
 
         visit(code.t, 0)
-        return cls(rate0, frozenset(certify), frozenset(frozen_free))
+        mask.flags.writeable = values.flags.writeable = False
+        return cls(rate0, frozenset(certify), frozenset(frozen_free), mask, values)
 
 
 @lru_cache(maxsize=32)
@@ -281,8 +291,12 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     Returns the (k^t, B) codeword x of the decisions, x M^{tensor t} = u.
 
     With a ``plan``, all-frozen subtrees and the ``plan.certify`` subtrees
-    whose eta passes are answered directly, and the leaf is not called for
-    their indices; ``_decode_batch`` checks the frozen values per word.
+    whose certificate holds are answered directly, and the leaf is not called
+    for their indices.  A subtree whose inputs are all certain is answered
+    without its frozen check (see the module docstring), so the result is
+    SC's only for words whose u carries every frozen value.  ``_decode_batch``
+    checks that per word; any other caller must too, or pass
+    ``plan._replace(certify=plan.frozen_free)``.
     """
     q, k = kernel.q, kernel.rows
     _, n, b = pi.shape
@@ -291,24 +305,33 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     order, words, _ = _v_table(kernel, n)
     rate0, certify = ({}, frozenset()) if plan is None else (plan.rate0, plan.certify)
 
-    def certified(pi):
-        """c* = argmax pi when eta < 1/4 on every word, else None."""
+    def certified(pi, level, base):
+        """c* = argmax pi when the certificate holds on every word, else None."""
         # word 0 alone first: every word must pass, so a large batch pays the
         # whole test only where word 0 passes
         if b > 1 and not (1.0 - pi[:, :, 0].max(axis=0)).sum() < 0.25:
             return None
         top = pi.max(axis=0)
-        if not ((1.0 - top).sum(axis=0) < 0.25).all():
+        eta = (1.0 - top).sum(axis=0)
+        if not (eta < 0.25).all():
             return None
         # every top posterior exceeds 3/4, so argmax is the one symbol above 1/2
         c = np.zeros(top.shape, dtype=np.int64)
         for x in range(1, q):
             c[pi[x] > 0.5] = x
+        # an uncertain input may be decided wrong, which SC's frozen fiat
+        # would correct, so u* = c* M^{tensor level} must carry the frozen
+        # values; certain inputs leave that to _decode_batch's per-word check
+        if (level, base) not in plan.frozen_free and eta.any():
+            span = slice(base, base + len(top))
+            fixed = plan.frozen[span]
+            if not (tensor_apply(kernel, level, c.T)[:, fixed] == plan.values[span][fixed]).all():
+                return None
         return c
 
     def node(pi, level, base):
         if (level, base) in certify:
-            c = certified(pi)
+            c = certified(pi, level, base)
             if c is not None:
                 return c
         sub = pi.shape[1] // k
@@ -489,8 +512,9 @@ def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarra
 
     The plan answers every frozen index, so the leaf decides information
     indices only.  Words are decoded in groups that fit the "SC node
-    weights" budget (see ``_v_table``).  Words whose u misses a frozen value
-    are decoded again, in such groups, certifying frozen-free subtrees only.
+    weights" budget (see ``_v_table``).  Words whose u misses a frozen value,
+    which SC fails, are decoded again, in such groups, certifying frozen-free
+    subtrees only.
     """
     kernel, t, plan = code.kernel, code.t, code._sc_plan
     group = _v_table(kernel, code.block_length)[2]

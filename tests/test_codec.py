@@ -840,9 +840,10 @@ def test_pruned_decode_matches_reference_recursion(name, frozen_kind, kind):
 @pytest.mark.parametrize("kind", ["noiseless", "erasure", "qsc"])
 @pytest.mark.parametrize("name", ["arikan", "arikan2", "hamming7", "f3", "f5", "f2x4", "f11"])
 def test_frozen_values_are_checked_once_per_word(name, kind, monkeypatch):
-    # the certificate tests eta alone, so it also holds on words that
-    # contradict a frozen value; their first-pass u misses it, and exactly
-    # those words are decoded again, to SC's decisions
+    # where every input is certain, the certificate leaves the frozen values
+    # to one check per word, so it also holds on words that contradict a
+    # frozen value; their first-pass u misses it, and exactly those words are
+    # decoded again, to SC's decisions
     rng = np.random.default_rng(89)
     kernel, t, frozen, values = _pruning_case(name, "tree", rng)
     q, n = kernel.q, kernel.rows**t
@@ -875,17 +876,42 @@ def test_frozen_values_are_checked_once_per_word(name, kind, monkeypatch):
         u_hat, missed = decode(slice(i, i + 1))
         assert np.array_equal(u_hat[0], ref[i])
         redecoded.extend(i + missed)
-    assert redecoded
+    # only words that SC fails are decoded again: words 16-31, and on the
+    # noisy channels any word whose SC decisions are not the sent u
+    assert set(redecoded) <= set(np.flatnonzero((ref != u).any(axis=1)))
     if kind != "qsc":
-        # an erasure channel never makes a hard decision wrong: a word that
-        # carries its frozen values is decoded correctly wherever certified
-        assert set(redecoded) <= set(range(16, 32))
+        # no erased input means eta = 0, so certified subtrees skip their check
+        assert redecoded
     if kind == "noiseless":
         # every certificate holds, down from the root
         assert redecoded == batch_missed.tolist() == list(range(16, 32))
         # a batch that carries its frozen values makes a single pass
         decode(slice(0, 16))
         assert len(passes) == 1
+
+
+def test_uncertain_certificates_check_the_frozen_values_at_the_node(monkeypatch):
+    # on a qsc a certified subtree's hard decisions can be confidently wrong,
+    # which SC's frozen fiat corrects; the node checks u*'s frozen values, so
+    # a word that SC decodes correctly is decoded in one pass
+    rng = np.random.default_rng(97)
+    ch = make_qsc(2, 0.05)
+    code = construct_code(ARIKAN, ch, 8, rate=0.5, rng=rng, genie_trials=2000)
+    u = rng.integers(0, 2, size=(48, code.block_length))
+    u[:, code.frozen] = code.frozen_values
+    y = sample_outputs(ch, tensor_apply(ARIKAN.inverse(), 8, u), rng)
+    ref = reference_decode(code, y, ch)
+    passes = _record_passes(monkeypatch)
+    checks = []
+    transform = codec.tensor_apply
+    monkeypatch.setattr(codec, "tensor_apply", lambda *args: checks.append(args[1]) or transform(*args))
+    for i in range(len(y)):
+        passes.clear()
+        assert np.array_equal(_decode_batch(code, y[i:i + 1], ch)[0], ref[i])
+        assert len(passes) == 1 or (ref[i] != u[i]).any()
+    assert (ref == u).all(axis=1).sum() >= 40
+    # subtrees below the root were certified and checked
+    assert any(level < 8 for level in checks)
 
 
 def _leaf_calls(code, y, ch):
