@@ -464,7 +464,8 @@ def construct_code(
         raise ValueError(f"threshold must be finite; got {threshold}")
 
     if channel.kind == "erasure":
-        rank_key = evolve_tree(kernel, channel.param, t).log_values  # distinct where z rounds to 1
+        # ln z, read off the tree's logits: distinct where z rounds to 1
+        rank_key = evolve_tree(kernel, channel.param, t).log_values
         estimates = np.exp(rank_key)
         method = "exact-erasure-tree"
     else:

@@ -22,14 +22,24 @@ c_j[d] x^d with d the least weight of an undetermined pattern.  Near 1,
 pattern counts of output k-1-j of the dual kernel M* = (M^-1)^T with rows
 and columns reversed: 1 - f_j^M(1 - x) = f_{k-1-j}^{M*}(x).
 
-The tree lives in log space: a node is the pair (ln z, ln(1 - z)), so deep
-leaves far below the smallest double neither underflow nor need a floor.
+A tree node is its logit s = ln z - ln(1 - z), so no leaf underflows or
+rounds to 1, however deep.  With r = e^-|s| the factor (1-z)^k (z^k for
+s > 0) cancels from f_j / (1 - f_j): s'_j = D_j s + ln N_j(r) - ln M_j(r),
+with D_j = d_j, N_j(r) = sum_{w>=d_j} c_j[w] r^(w-d_j) and M_j(r) = sum_w
+(C(k, w) - c_j[w]) r^w for s <= 0, and above it D_j = e_j, the high-end
+order, with both coefficient lists reversed.  Erasing more inputs never
+determines an output, so N_j and M_j have positive integer coefficients and
+are at least 1 at r = 0: nothing cancels, and the step is exact at z = 0 and
+1 (s = -inf, +inf).  r is clamped at e^-700: below it no term moves a sum of
+at least 1, and neither exp nor a Horner product r * (at least 1) reaches
+the slow subnormal range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +59,10 @@ __all__ = [
     "local_profile",
 ]
 
-#: e^-700 < 1e-304 cannot change a log-sum-exp's sum of at least 1; clamping
-#: or skipping exp's argument there keeps np.exp off its slow subnormal path.
+#: ln of the clamp on r = e^-|s| (module docstring).
 _NEGLIGIBLE = -700.0
 
-#: Parent nodes per log_step call in evolve_tree, bounding its temporaries.
+#: Parent nodes per logit_step call in evolve_tree, bounding its temporaries.
 _TREE_CHUNK = 1 << 14
 
 
@@ -73,42 +82,55 @@ class ErasurePolynomialSet:
     def k(self) -> int:
         return self.kernel.rows
 
-    def log_step(self, log_x, log_1mx):
-        """(ln f_j(x), ln(1 - f_j(x))) for all j, shape log_x.shape + (k,).
+    @cached_property
+    def _logit_plan(self):
+        """(N_j, M_j) per output: c_j[d_j..k] and C(k, w) - c_j[w] for w = 0..k - e_j."""
+        binom = np.array([math.comb(self.k, w) for w in range(self.k + 1)])
+        return [(tuple(np.trim_zeros(f, "f").tolist()), tuple(np.trim_zeros(binom - f, "b").tolist()))
+                for f in self.counts]
 
-        f_j = sum_w c_j[w] x^w (1-x)^(k-w) and 1 - f_j = sum_w (C(k, w) -
-        c_j[w]) x^w (1-x)^(k-w) are sums of nonnegative terms, so each is a
-        log-sum-exp: the smaller side keeps full relative precision, x = 0
-        and 1 included.  The larger is log1p(-e^smaller), as precise since
-        e^smaller <= 1/2 (0 below 1e-304); summed, it would double the inputs'
-        error at each 2x - x^2 near x = 1.
+    def logit_step(self, s, out=None):
+        """Logits of the children of an array of logits s, shape s.shape + (k,).
+
+        s'_j = D_j s + ln N_j(r) - ln M_j(r) (module docstring), D_j = d_j = k +
+        1 - len(N_j) for s <= 0 and e_j = k + 1 - len(M_j) above, each integer
+        coefficient picked per parent, exactly, as hi + (lo - hi)[s <= 0]: one
+        exp per parent and one log per distinct polynomial.  Writes into
+        ``out`` when given, which may be a strided view.
         """
-        lx, ly, k = np.asarray(log_x, dtype=np.float64), np.asarray(log_1mx, dtype=np.float64), self.k
-        # ln x^w (1-x)^(k-w); a zero power adds nothing, even to ln 0 = -inf
-        terms = [k * ly] + [w * lx + (k - w) * ly for w in range(1, k)] + [k * lx]
+        s = np.asarray(s, dtype=np.float64)
+        out = np.empty(s.shape + (self.k,)) if out is None else out
+        r = np.abs(s)
+        np.exp(np.maximum(np.negative(r, out=r), _NEGLIGIBLE, out=r), out=r)
+        low, picked, logs = (s <= 0.0).astype(np.float64), {}, {}
 
-        def log_sum(weights):  # never empty: c_j[k] = 1 and C(k, 0) - c_j[0] = 1
-            ws = np.flatnonzero(weights)
-            if ws.size == 1 and weights[ws[0]] == 1:  # a lone unit term is its own sum
-                return terms[ws[0]]
-            top = np.maximum.reduce([terms[w] for w in ws])
-            return top + np.log(sum(weights[w] * np.exp(np.fmax(terms[w] - top, _NEGLIGIBLE)) for w in ws))
+        def pick(lo, hi):  # lo where s <= 0, hi above
+            if lo != hi and (lo, hi) not in picked:
+                picked[lo, hi] = np.add(low * (lo - hi), hi)
+            return picked.get((lo, hi), lo)
 
-        binom = np.array([math.comb(k, w) for w in range(k + 1)])
-        with np.errstate(invalid="ignore"):  # -inf - -inf where all terms are -inf
-            log_f = np.stack([log_sum(c) for c in self.counts], axis=-1)
-            log_1mf = np.stack([log_sum(c) for c in binom - self.counts], axis=-1)
-        small = np.minimum(log_f, log_1mf)
-        rebuilt = np.log1p(-np.exp(small, out=np.zeros_like(small), where=small > _NEGLIGIBLE))
-        f_small = log_f <= log_1mf
-        return np.where(f_small, small, rebuilt), np.where(f_small, rebuilt, small)
+        def log_poly(p):  # ln sum_i p[i] r^i where s <= 0, of p reversed above
+            if p not in logs:
+                acc = r * pick(p[-1], p[0])
+                for i in range(len(p) - 2, 0, -1):
+                    acc += pick(p[i], p[-1 - i])
+                    acc *= r
+                logs[p] = np.log(np.add(acc, pick(p[0], p[-1]), out=acc), out=acc)
+            return logs[p]
+
+        for j, (num, den) in enumerate(self._logit_plan):
+            np.multiply(s, pick(self.k + 1 - len(num), self.k + 1 - len(den)), out=out[..., j])
+            if len(num) > 1:  # a constant N or M is c_j[k] = 1 or C(k, 0) - c_j[0] = 1
+                out[..., j] += log_poly(num)
+            if len(den) > 1:
+                out[..., j] -= log_poly(den)
+        return out
 
     def evaluate(self, x) -> np.ndarray:
         """f_j(x) for all j, shape x.shape + (k,).
 
         The direct sum of the nonnegative terms c_j[w] x^w (1-x)^(k-w): no
-        cancellation, so each f_j keeps its relative precision (exp of
-        ``log_step`` loses up to 6.9e-15 on the builtins).  1 - x is exact
+        cancellation, so each f_j keeps its relative precision.  1 - x is exact
         from x = 1/2 on; below, it rounds, and its (k-w)-th power would carry
         k - w times that error, so the power is exp((k-w) log1p(-x)) there.
         """
@@ -193,66 +215,74 @@ def _count_exponents(counts: np.ndarray) -> LeadingExponents:
 
 @dataclass(frozen=True)
 class MartingaleTreeLevel:
-    """All k^t synthetic erasure rates at depth t as ln z, lexicographic by index path."""
+    """All k^t synthetic erasure rates at depth t as logits ln z - ln(1 - z),
+    lexicographic by index path; the other views take one buffer per access."""
 
     t: int
-    log_values: np.ndarray
+    logits: np.ndarray
+
+    @property
+    def log_values(self) -> np.ndarray:
+        """ln z = min(s, -ln(1 + e^-s)), s clamped to [-700, 746] in the exp:
+        the min restores ln z = s below, and e^-s rounds to 0 above."""
+        out = np.clip(self.logits, _NEGLIGIBLE, 746.0)
+        np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+        return np.minimum(np.negative(out, out=out), self.logits, out=out)
 
     @property
     def values(self) -> np.ndarray:
-        """exp(log_values), recomputed on each access."""
-        return np.exp(self.log_values)
+        log_values = self.log_values
+        return np.exp(log_values, out=log_values)
 
     @property
     def mean(self) -> float:
         return float(self.values.mean())
 
 
-def _log_start(z0: float, t: int, n: int):
-    """(ln z0, ln(1 - z0)) repeated n times, after checking t and z0."""
+def _start_logits(z0: float, t: int, n: int) -> np.ndarray:
+    """The logit of z0 repeated n times, after checking t and z0."""
     if t < 0:
         raise ValueError("tensor depth must be nonnegative")
     if not 0.0 <= z0 <= 1.0:  # NaN fails the comparison too
         raise ValueError("initial erasure rate must lie in [0, 1]")
     z = np.full(n, float(z0))
     with np.errstate(divide="ignore"):
-        return np.log(z), np.log1p(-z)
+        return np.log(z) - np.log1p(-z)
 
 
 def evolve_tree(m, z0: float, t: int, return_all: bool = False):
     """Exact density evolution: apply (f_1..f_k) to every node, level by level.
 
     The value at index path (i_1..i_t) is f_{i_t}(...f_{i_1}(z0)...), laid out
-    lexicographically, through ``log_step`` on _TREE_CHUNK parents at a time;
-    a level keeps ln z only.  Returns the level-t MartingaleTreeLevel, the
-    only level held, or the list of levels 0..t with ``return_all``.
+    lexicographically, held as its logit.  ``logit_step`` runs on _TREE_CHUNK
+    parents at a time and writes each child through a strided view of the
+    next level.  Returns the level-t MartingaleTreeLevel, the only level
+    held, or the list of levels 0..t with ``return_all``.
     """
     polys = _coerce_polys(m)
-    log_z, log_1mz = _log_start(z0, t, 1)
+    logits = _start_logits(z0, t, 1)
     check_budget("tree", polys.k**t, 10**6)
-    levels = [MartingaleTreeLevel(0, log_z)]
+    levels = [MartingaleTreeLevel(0, logits)]
     for level in range(1, t + 1):
-        next_z, next_1mz = np.empty(log_z.size * polys.k), np.empty(log_z.size * polys.k)
-        for lo in range(0, log_z.size, _TREE_CHUNK):
-            parents, children = slice(lo, lo + _TREE_CHUNK), slice(lo * polys.k, (lo + _TREE_CHUNK) * polys.k)
-            next_z[children], next_1mz[children] = (
-                side.ravel() for side in polys.log_step(log_z[parents], log_1mz[parents]))
-        log_z, log_1mz = next_z, next_1mz
-        log_z.flags.writeable = False
+        children = np.empty(logits.size * polys.k)
+        by_parent = children.reshape(logits.size, polys.k)
+        for lo in range(0, logits.size, _TREE_CHUNK):
+            polys.logit_step(logits[lo : lo + _TREE_CHUNK], out=by_parent[lo : lo + _TREE_CHUNK])
+        logits = children
+        logits.flags.writeable = False
         if not return_all:
             levels.clear()
-        levels.append(MartingaleTreeLevel(level, log_z))
+        levels.append(MartingaleTreeLevel(level, logits))
     return levels if return_all else levels[-1]
 
 
 def sample_paths(m, z0: float, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Endpoints of n independent uniform index paths through the tree."""
     polys = _coerce_polys(m)
-    log_z, log_1mz = _log_start(z0, t, n)
+    logits = _start_logits(z0, t, n)
     for _ in range(t):
-        pick = np.arange(n), rng.integers(0, polys.k, size=n)
-        log_z, log_1mz = (side[pick] for side in polys.log_step(log_z, log_1mz))
-    return np.exp(log_z)
+        logits = polys.logit_step(logits)[np.arange(n), rng.integers(0, polys.k, size=n)]
+    return MartingaleTreeLevel(t, logits).values
 
 
 @dataclass(frozen=True)
@@ -285,8 +315,10 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
     """Measure both polarization windows on one or more tree levels.
 
     Windows are open intervals, so boundary values count as polarized.  Each
-    leaf's ln z is compared with the log of each edge: -2^(lam*t) ln 2 for
-    the low edge, or -inf once 2^(lam*t) overflows, which still excludes z = 0.
+    leaf's logit is compared with each edge's, computed once per level from
+    the float edges gamma^t, 1 - gamma^t and threshold (+inf from 1 on, -inf
+    at 0, nan below), and from the low edge's log, -2^(lam*t) ln 2, or -inf
+    once 2^(lam*t) overflows, which still excludes z = 0.
     """
     levels = [levels] if isinstance(levels, MartingaleTreeLevel) else list(levels)
     if not levels:
@@ -300,19 +332,21 @@ def polarization_report(levels, lam: float, gamma: float, threshold: float) -> P
         raise ValueError(f"threshold must be finite; got {threshold}")
     fractions = []
     for lev in levels:
-        v, t = lev.log_values, lev.t
+        v, t = lev.logits, lev.t
         try:
-            low = -(2.0 ** (lam * t)) * math.log(2.0)
+            log_low = -(2.0 ** (lam * t)) * math.log(2.0)
         except OverflowError:
             # ln edge < -2^1024 ln 2, while f_j(x) >= x^k puts every leaf
             # with z0 > 0 at ln z >= k^t ln z0, far above it
-            low = -math.inf
-        # ln 0 = -inf; a negative threshold has ln nan, below which nothing lies
-        with np.errstate(divide="ignore", invalid="ignore"):
-            strong, high, below = np.log([gamma**t, 1.0 - gamma**t, threshold])
+            log_low = -math.inf
+        low = log_low - math.log1p(-math.exp(log_low))  # the low edge is at most 1/2
+        edges = np.array([gamma**t, 1.0 - gamma**t, threshold])
+        with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 = -inf, ln of a negative is nan
+            strong, high, below = np.where(edges < 1.0, np.log(edges) - np.log1p(-edges), np.inf)
         under_high = v < high
-        fractions.append(
-            [np.mean((v > low) & under_high), np.mean((v > strong) & under_high), np.mean(v <= below)])
+        fractions.append([np.count_nonzero((v > low) & under_high) / v.size,
+                          np.count_nonzero((v > strong) & under_high) / v.size,
+                          np.count_nonzero(v <= below) / v.size])
     ts = np.array([lev.t for lev in levels])
     f_exp, f_strong, rate = np.array(fractions).T
     positive = f_exp > 0

@@ -249,3 +249,60 @@ def support_counts_layered(a: np.ndarray, q: int, depth: int) -> np.ndarray:
             next_pivots[part] = piv
         rows, pivots = next_rows, next_pivots
     return counts
+
+
+def log_pair_step(polys, log_x, log_1mx):
+    """(ln f_j(x), ln(1 - f_j(x))) for all j, shape log_x.shape + (k,): the
+    erasure tree in the pair representation (ln z, ln(1 - z)), the oracle of
+    ``ErasurePolynomialSet.logit_step``.
+
+    f_j = sum_w c_j[w] x^w (1-x)^(k-w) and 1 - f_j = sum_w (C(k, w) -
+    c_j[w]) x^w (1-x)^(k-w) are sums of nonnegative terms, so each is a
+    log-sum-exp: the smaller side keeps full relative precision, x = 0 and 1
+    included.  The larger is log1p(-e^smaller), as precise since e^smaller <=
+    1/2 (0 below 1e-304); summed, it would double the inputs' error at each
+    2x - x^2 near x = 1.
+    """
+    negligible = -700.0  # e^-700 cannot change a sum of at least 1
+    lx, ly, k = np.asarray(log_x, dtype=np.float64), np.asarray(log_1mx, dtype=np.float64), polys.k
+    # ln x^w (1-x)^(k-w); a zero power adds nothing, even to ln 0 = -inf
+    terms = [k * ly] + [w * lx + (k - w) * ly for w in range(1, k)] + [k * lx]
+
+    def log_sum(weights):  # never empty: c_j[k] = 1 and C(k, 0) - c_j[0] = 1
+        ws = np.flatnonzero(weights)
+        if ws.size == 1 and weights[ws[0]] == 1:  # a lone unit term is its own sum
+            return terms[ws[0]]
+        top = np.maximum.reduce([terms[w] for w in ws])
+        return top + np.log(sum(weights[w] * np.exp(np.fmax(terms[w] - top, negligible)) for w in ws))
+
+    binom = np.array([math.comb(k, w) for w in range(k + 1)])
+    with np.errstate(invalid="ignore"):  # -inf - -inf where all terms are -inf
+        log_f = np.stack([log_sum(c) for c in polys.counts], axis=-1)
+        log_1mf = np.stack([log_sum(c) for c in binom - polys.counts], axis=-1)
+    small = np.minimum(log_f, log_1mf)
+    rebuilt = np.log1p(-np.exp(small, out=np.zeros_like(small), where=small > negligible))
+    f_small = log_f <= log_1mf
+    return np.where(f_small, small, rebuilt), np.where(f_small, rebuilt, small)
+
+
+def log_space_report(levels, lam: float, gamma: float, threshold: float):
+    """(fraction_exp, fraction_strong, rate_at_threshold, rho_hat) of (t, ln z)
+    levels, each leaf's ln z against the log of each window edge; the oracle
+    of ``polarlab.polarization_report``, which compares logits."""
+    fractions = []
+    for t, v in levels:
+        try:
+            low = -(2.0 ** (lam * t)) * math.log(2.0)
+        except OverflowError:
+            low = -math.inf
+        # ln 0 = -inf; a negative threshold has ln nan, below which nothing lies
+        with np.errstate(divide="ignore", invalid="ignore"):
+            strong, high, below = np.log([gamma**t, 1.0 - gamma**t, threshold])
+        under_high = v < high
+        fractions.append(
+            [np.mean((v > low) & under_high), np.mean((v > strong) & under_high), np.mean(v <= below)])
+    ts = np.array([t for t, _ in levels])
+    f_exp, f_strong, rate = np.array(fractions).T
+    positive = f_exp > 0
+    fit = np.polyfit(ts[positive], np.log(f_exp[positive]), 1)[0] if positive.sum() >= 2 else math.nan
+    return f_exp, f_strong, rate, float(math.exp(fit))

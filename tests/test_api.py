@@ -32,7 +32,7 @@ DELETED = {
     "polarlab.LocalProfile": {"suction"},
     "channels.make_table_channel": {"require_symmetric"},
     "channels.SymmetryCertificate": {"column_sums_equal"},
-    # the log-space tree cannot underflow, so there is nothing to count
+    # the tree, in logits, cannot underflow, so there is nothing to count
     "polarlab.MartingaleTreeLevel": {"underflow_count"},
     "polarlab.PolarizationReport": {"underflow_counts"},
 }
@@ -66,6 +66,8 @@ def test_deleted_parameters_stay_deleted():
     for attr in ("FieldModulus", "enumeration_budget"):
         assert not hasattr(fqlin, attr)
     assert not hasattr(polarlab, "UNDERFLOW_FLOOR")
+    # the tree steps in logits; the pair step is tests/helpers.log_pair_step
+    assert not hasattr(polarlab.ErasurePolynomialSet, "log_step")
     assert not hasattr(polarlab, "SuctionRow")
     import polarkit
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def test_polarize_past_an_overflowing_low_edge(capsys):
     # 2^(lambda t) = 2^1100 overflows a double; it used to exit 1 with an OverflowError
     assert run_cli(["polarize", "--z", "0.5", "--t", "11", "--lambda", "100"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "11,0.560546875,0.12109375,0.2919921875"
+
+
+GOLDEN_POLARIZE = Path(__file__).parent / "golden" / "polarize"
+POLARIZE_CASES = json.loads((GOLDEN_POLARIZE / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(POLARIZE_CASES))
+def test_polarize_matches_its_golden_output(name, capsys):
+    # recorded by tests/golden/record.py; versions.txt names the Python and
+    # numpy that produced them
+    assert run_cli(POLARIZE_CASES[name]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == (GOLDEN_POLARIZE / f"{name}.csv").read_bytes()
+    assert err.encode() == (GOLDEN_POLARIZE / f"{name}.stderr").read_bytes()
 
 
 def test_exponents_json(tmp_path):

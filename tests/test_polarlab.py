@@ -30,7 +30,7 @@ from polarkit.polarlab import (
     sample_paths,
 )
 
-from helpers import random_invertible
+from helpers import log_pair_step, log_space_report, random_invertible
 
 ARIKAN = FqMatrix(2, [[1, 0], [1, 1]])
 
@@ -196,52 +196,90 @@ def exact_ln(p: Fraction) -> float:
     return e * math.log(2) + math.log(float(p / Fraction(2) ** e))
 
 
-def assert_log_pair_matches_exact(m: FqMatrix, z0: float, t_max: int):
-    """Iterate log_step from (ln z0, ln(1 - z0)) and compare every level's
-    ln z and ln(1 - z) with the exact tree, within 1e-13 of max(1, |ln|)."""
+def log_pair(logits):
+    """(ln z, ln(1 - z)) of logits s, both through ``log_values``: 1 - z has logit -s."""
+    return MartingaleTreeLevel(0, logits).log_values, MartingaleTreeLevel(0, -logits).log_values
+
+
+def start_logit(z0: float) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log([z0]) - np.log1p([-z0])
+
+
+def assert_logits_match_exact(m: FqMatrix, z0: float, t_max: int):
+    """Iterate logit_step from the logit of z0 and compare every level's ln z
+    and ln(1 - z) with the exact tree, within 1e-13 of max(1, |ln|)."""
     polys = erasure_polynomials(m)
-    log_z, log_1mz = np.log([z0]), np.log1p([-z0])
+    logits = start_logit(z0)
     for t in range(1, t_max + 1):
-        log_z, log_1mz = (side.ravel() for side in polys.log_step(log_z, log_1mz))
+        logits = polys.logit_step(logits).ravel()
         exact = exact_tree(polys.counts, Fraction(z0), t)
-        for got, want in ((log_z, [exact_ln(z) for z in exact]), (log_1mz, [exact_ln(1 - z) for z in exact])):
+        for got, want in zip(log_pair(logits), ([exact_ln(z) for z in exact], [exact_ln(1 - z) for z in exact])):
             want = np.array(want)
             err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             assert err.max() <= 1e-13, (m.q, t, float(err.max()))
-        assert np.array_equal(evolve_tree(polys, z0, t).log_values, log_z)
+        assert np.array_equal(evolve_tree(polys, z0, t).logits, logits)
 
 
-def test_log_step_matches_exact_tree_arikan():
-    assert_log_pair_matches_exact(ARIKAN, 0.3, 8)
+def test_logit_step_matches_exact_tree_arikan():
+    assert_logits_match_exact(ARIKAN, 0.3, 8)
 
 
-def test_log_step_matches_exact_tree_f3():
+def test_logit_step_matches_exact_tree_f3():
     m = random_mixing(3, 3, np.random.default_rng(3))
-    assert_log_pair_matches_exact(m, 0.6, 4)
+    assert_logits_match_exact(m, 0.6, 4)
 
 
 def test_chunked_tree_matches_whole_level_steps():
     # level 16 has 2^15 parents, more than one of evolve_tree's chunks
     polys = erasure_polynomials(ARIKAN)
-    log_z, log_1mz = np.log([0.4]), np.log1p([-0.4])
+    logits = start_logit(0.4)
     for _ in range(16):
-        log_z, log_1mz = (side.ravel() for side in polys.log_step(log_z, log_1mz))
-    assert np.array_equal(evolve_tree(polys, 0.4, 16).log_values, log_z)
+        logits = polys.logit_step(logits).ravel()
+    assert np.array_equal(evolve_tree(polys, 0.4, 16).logits, logits)
 
 
-def test_log_step_handles_both_endpoints():
+def test_logit_step_handles_both_endpoints():
     polys = erasure_polynomials(random_mixing(3, 3, np.random.default_rng(4)))
-    log_f, log_1mf = polys.log_step(np.array([-np.inf, 0.0]), np.array([0.0, -np.inf]))
-    assert log_f.tolist() == [[-np.inf] * 3, [0.0] * 3]
-    assert log_1mf.tolist() == [[0.0] * 3, [-np.inf] * 3]
+    assert polys.logit_step(np.array([-np.inf, np.inf])).tolist() == [[-np.inf] * 3, [np.inf] * 3]
+
+
+def _differential_kernels():
+    """(id, kernel, largest t within the tree budget of 10^6 leaves)."""
+    rng = np.random.default_rng(26)
+    for name, m in [("arikan", ARIKAN), ("arikan-q3", FqMatrix(3, ARIKAN.arr)),
+                    ("arikan2", resolve_kernel("arikan2", 2)), ("hamming7", resolve_kernel("hamming7", 2)),
+                    ("random-q5-k3", random_invertible(5, 3, rng)), ("arikan-x4", kron_power(ARIKAN, 4))]:
+        yield pytest.param(m, math.floor(6 / math.log10(m.rows) + 1e-9), id=name)
+
+
+@pytest.mark.parametrize("m,t_max", list(_differential_kernels()))
+@pytest.mark.parametrize("z0", [0.0, 0.3, 0.5, 1.0])
+def test_logit_step_matches_the_log_pair_oracle(m, t_max, z0):
+    # every level that fits the tree budget, against the pair (ln z, ln(1 - z))
+    # the tree carried before; arikan-x4 (k = 16) reaches binomials of 12870
+    # at the r clamp
+    polys = erasure_polynomials(m)
+    logits = start_logit(z0)
+    with np.errstate(divide="ignore"):
+        pair = np.log([z0]), np.log1p([-z0])
+    for t in range(1, t_max + 1):
+        logits = polys.logit_step(logits).ravel()
+        pair = tuple(side.ravel() for side in log_pair_step(polys, *pair))
+        for got, want in zip(log_pair(logits), pair):
+            assert np.array_equal(np.isinf(got), np.isinf(want)), t
+            finite = np.isfinite(want)
+            err = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+            assert err.max(initial=0.0) <= 1e-13, (t, float(err.max()))
+    assert np.array_equal(evolve_tree(polys, z0, t_max).logits, logits)  # t_max fits the budget
 
 
 def test_deep_leaves_stay_finite():
     # at t = 12 some leaves lie below 1e-300, which a float tree cannot hold
-    # for long; in log space every leaf is finite and none is lost.  No leaf
-    # rounds above 1, as one would if ln z near 0 were summed from terms
-    # instead of rebuilt from ln(1 - z).
+    # for long; as logits every leaf is finite and none is lost, and no leaf
+    # rounds above 1
     level = evolve_tree(ARIKAN, 0.5, 12)
+    assert np.all(np.isfinite(level.logits))
     assert np.all(np.isfinite(level.log_values))
     assert (level.log_values < math.log(1e-300)).any()
     assert level.log_values.max() <= 0.0
@@ -296,9 +334,24 @@ def test_polarization_report_trivial_cases():
     assert np.all(fully.fraction_strong == 0.0)
 
     # boundary values sit outside the open window
-    level = MartingaleTreeLevel(1, np.log([0.5, 0.5]))
+    level = MartingaleTreeLevel(1, np.zeros(2))  # z = 1/2
     rep = polarization_report(level, 0.45, 0.5, 1e-6)
     assert rep.fraction_strong[0] == 0.0
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 1e-6, 1.0, 2.0])
+@pytest.mark.parametrize("lam", [0.45, 80.0])
+@pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
+def test_polarization_report_matches_the_log_space_oracle(z0, lam, threshold):
+    # t = 0 has gamma^0 = 1, lam = 80 overflows the low edge from t = 13 on,
+    # and thresholds at or past 1 and at or below 0 meet each edge rule
+    levels = evolve_tree(ARIKAN, z0, 14, return_all=True)
+    rep = polarization_report(levels, lam, 0.8, threshold)
+    f_exp, f_strong, rate, rho_hat = log_space_report([(lev.t, lev.log_values) for lev in levels], lam, 0.8, threshold)
+    assert rep.fraction_exp.tolist() == f_exp.tolist()
+    assert rep.fraction_strong.tolist() == f_strong.tolist()
+    assert rep.rate_at_threshold.tolist() == rate.tolist()
+    assert rep.rho_hat == rho_hat or (math.isnan(rep.rho_hat) and math.isnan(rho_hat))
 
 
 def test_polarization_report_decay_trend():
@@ -412,7 +465,7 @@ def test_high_end_is_the_low_end_of_the_dual_kernel(m):
                          ids=["arikan", "arikan2", "hamming7", "mixing-q3-k4"])
 def test_high_end_polynomial_matches_evaluate(m):
     # the high end's Bernstein polynomial against 1 - f_j(1 - x) evaluated
-    # in floats, and its leading term against log_step's ln(1 - f_j) side,
+    # in floats, and its leading term against logit_step's ln(1 - f_j),
     # which keeps full relative precision where 1 - f_j is below 1e-16
     polys = erasure_polynomials(m)
     k = polys.k
@@ -423,7 +476,7 @@ def test_high_end_polynomial_matches_evaluate(m):
     assert np.allclose(1.0 - polys.evaluate(1.0 - x), bernstein @ high.T, rtol=0, atol=1e-12)
     lead = local_profile(polys).high
     small = 2.0**-20
-    log_1mf = polys.log_step(np.log1p(-small), np.log(small))[1]
+    log_1mf = log_pair(-polys.logit_step(np.log1p([-small]) - np.log(small))[0])[0]
     ratio = np.exp(log_1mf - np.log(lead.constants) - lead.d * np.log(small))
     assert np.allclose(ratio, 1.0, rtol=0, atol=1e-4)
 
