@@ -3,10 +3,12 @@
 
     PYTHONPATH=src python3 tests/golden/record.py
 
-Runs each polarize case of ``polarize/cases.json`` through ``cli.main`` in
-this process and writes its stdout (the CSV) and stderr beside the manifest,
-and the Python and numpy versions that produced them to ``versions.txt``.  Record only when a
-change is meant to alter these outputs, and say so in CHANGES.md.
+Every directory here that holds a ``cases.json`` is named after the command
+its cases run.  Each case runs through ``cli.main`` in this process; its
+stdout (the CSV, or the JSON of ``construct``) and stderr are written beside
+the manifest, and the Python and numpy versions that produced them to the
+directory's ``versions.txt``.  Record only when a change is meant to alter
+these outputs, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ from polarkit.cli import main
 HERE = Path(__file__).resolve().parent
 
 
+def case_directories(root: Path = HERE) -> list:
+    """Every directory of ``root`` that holds a ``cases.json``."""
+    return sorted(d for d in root.iterdir() if (d / "cases.json").is_file())
+
+
+def stdout_name(directory: Path, name: str) -> str:
+    """File name of a case's recorded stdout: JSON for ``construct``, else CSV."""
+    return f"{name}.json" if directory.name == "construct" else f"{name}.csv"
+
+
 def run_case(argv):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -37,12 +49,13 @@ def record(directory: Path):
     for name, argv in json.loads((directory / "cases.json").read_text()).items():
         code, out, err = run_case(argv)
         if code != 0:
-            sys.exit(f"{name}: exit {code}: {err.strip()}")
-        (directory / f"{name}.csv").write_text(out)
+            sys.exit(f"{directory.name}/{name}: exit {code}: {err.strip()}")
+        (directory / stdout_name(directory, name)).write_text(out)
         (directory / f"{name}.stderr").write_text(err)
-        print(f"{name}: {len(out.splitlines())} lines", file=sys.stderr)
+        print(f"{directory.name}/{name}: {len(out.splitlines())} lines", file=sys.stderr)
     (directory / "versions.txt").write_text(f"python {platform.python_version()}\nnumpy {np.__version__}\n")
 
 
 if __name__ == "__main__":
-    record(HERE / "polarize")
+    for directory in case_directories():
+        record(directory)

@@ -77,18 +77,44 @@ def test_polarize_past_an_overflowing_low_edge(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "11,0.560546875,0.12109375,0.2919921875"
 
 
-GOLDEN_POLARIZE = Path(__file__).parent / "golden" / "polarize"
-POLARIZE_CASES = json.loads((GOLDEN_POLARIZE / "cases.json").read_text())
+GOLDEN = Path(__file__).parent / "golden"
+# one directory per command, each with its cases.json
+GOLDEN_CASES = {
+    d.name: json.loads((d / "cases.json").read_text())
+    for d in sorted(GOLDEN.iterdir()) if (d / "cases.json").is_file()
+}
 
 
-@pytest.mark.parametrize("name", list(POLARIZE_CASES))
-def test_polarize_matches_its_golden_output(name, capsys):
+def assert_golden_output(command, name, capsys):
     # recorded by tests/golden/record.py; versions.txt names the Python and
     # numpy that produced them
-    assert run_cli(POLARIZE_CASES[name]) == 0
+    directory = GOLDEN / command
+    assert run_cli(GOLDEN_CASES[command][name]) == 0
     out, err = capsys.readouterr()
-    assert out.encode() == (GOLDEN_POLARIZE / f"{name}.csv").read_bytes()
-    assert err.encode() == (GOLDEN_POLARIZE / f"{name}.stderr").read_bytes()
+    suffix = ".json" if command == "construct" else ".csv"
+    assert out.encode() == (directory / f"{name}{suffix}").read_bytes()
+    assert err.encode() == (directory / f"{name}.stderr").read_bytes()
+
+
+def test_every_golden_directory_is_compared():
+    assert set(GOLDEN_CASES) == {"polarize", "simulate", "construct"}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["polarize"]))
+def test_polarize_matches_its_golden_output(name, capsys):
+    assert_golden_output("polarize", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["simulate"]))
+def test_simulate_matches_its_golden_output(name, capsys):
+    # trial counts of 1023, 1025, 1100, 2049 and 2100 end chunks and blocks
+    # of words short
+    assert_golden_output("simulate", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["construct"]))
+def test_construct_matches_its_golden_output(name, capsys):
+    assert_golden_output("construct", name, capsys)
 
 
 def test_exponents_json(tmp_path):
