@@ -17,19 +17,26 @@ element: a symbol within 1e-12 of the top posterior is a tie, so that float
 summation order never breaks an exact one.
 
 The decoder is fully batched.  A Monte Carlo experiment runs in fixed chunks
-of ``_CHUNK`` trials: chunk i draws, encodes, samples and decodes from its own
-stream, child i of the caller's generator, so results depend only on (seed,
-trials).  Decoding splits a chunk into word groups whose top kernel node
-weights, q^k * (N/k) floats per word, fit the "SC node weights" budget, so
-memory follows the group, not the trial count.  Posteriors are symbol-major,
-shape (q, positions, words): a node's child s is one contiguous (q, sub * B)
-block, each of the q^k weight rows and every sum over them runs over sub * B
-contiguous values, and the leaf reads its (B, q) posteriors as a view.  They
-are gathered by received symbol from one (q, outputs) table of P(x | y).  The
-transforms around the recursion are position-major too: ``encode``
-assembles u as (positions, words) in the smallest dtype that holds a symbol,
-the layout ``tensor_apply`` works in, and the recursion's (positions, words)
-codeword goes back through it as it is.
+of ``_CHUNK`` trials, and a chunk is a random stream: chunk i draws from its
+own, child i of the caller's generator, so results depend only on (seed,
+trials).  A block is a unit of memory: a chunk draws its messages whole,
+then encodes, samples and decodes one block of words at a time, as many as
+have top kernel node weights, q^k * (N/k) floats per word, of about
+``_BLOCK_BYTES``.  Memory follows the block, not the trial count, and the
+outputs do not depend on it: blocks draw their noise from the chunk's
+stream in order, the same doubles as one chunk-wide draw, and SC decides
+each word alone.  A single word over the "SC node weights" budget of 2^22
+floats is refused.
+
+Posteriors are symbol-major, shape (q, positions, words): a node's child s
+is one contiguous (q, sub * B) slab, each of the q^k weight rows and every
+sum over them runs over sub * B contiguous values, and the leaf reads its
+(B, q) posteriors as a view.  They are gathered by received symbol from one
+(q, outputs) table of P(x | y).  The transforms around the recursion are
+position-major too: ``encode`` assembles u as (positions, words) in the
+smallest dtype that holds a symbol, the layout ``tensor_apply`` works in,
+and the recursion's (positions, words) codeword goes back through it as it
+is.
 
 Genie profiling needs no recursion: every decision is the truth, drawn before
 decoding starts, so no node waits for another, and each tree level, root
@@ -40,9 +47,8 @@ kernel is linear, so in these coordinates kernel output v' weighs what
 v' + v_true weighed, conditioning on the true prefix keeps the leading block
 of q^(k-a) weights, and every child's truth is 0 again.  Only the leaves go
 back to the original coordinates, where the decision rule is applied as in
-decoding.  The pass runs over blocks of words within a chunk, sized so that
-the top level's weights take about ``_BLOCK_BYTES``: the working set stays
-in cache and memory follows the block.
+decoding.  The pass runs block by block too, each block's truth encoded and
+sampled on its own.
 
 Decoding skips two kinds of subtree whose output is known exactly.  An
 all-frozen subtree returns its own codeword, the depth-l transform of its
@@ -97,9 +103,9 @@ __all__ = [
 
 # trials per Monte Carlo chunk: one random stream each
 _CHUNK = 1024
-# bytes of top-level float64 node weights per block of words in the genie
-# pass: small enough that a level's working set stays in cache
-_BLOCK_BYTES = 2**21
+# bytes of top-level float64 node weights per block of words: Monte Carlo
+# passes encode, sample and decode one block at a time
+_BLOCK_BYTES = 2**22
 # a decision takes the smallest symbol within this much of the top posterior:
 # the summation order alone must not break an exact tie
 _TIE = 1e-12
@@ -252,23 +258,27 @@ def _inverse(kernel: FqMatrix) -> FqMatrix:
 
 
 def _v_table(kernel: FqMatrix, n: int):
-    """Per-kernel SC tables, and how many words one pass over N = n may hold.
+    """Per-kernel SC tables for block length N = n.
 
     For each kernel output v (in ``qary_words`` order) with child word
     c = v M^-1, ``order[v]`` splits the index of c into (index of
     c_0..c_{k-2}, c_{k-1}), so a node builds its combination weights straight
-    in v order; column v of the (k, q^k) ``words`` is c itself.  ``group`` is
-    the number of words whose top kernel node weights, q^k * (n/k) floats
-    each, fit the "SC node weights" budget of 2^22 floats.  Tables of more
-    than 10^6 words, then single words over the weights budget, are refused
-    (BudgetExceeded) before the cache is consulted, so a lowered budget holds
-    for a kernel already cached.  Returns (order, words, group).
+    in v order; column v of the (k, q^k) ``words`` is c itself.  Tables of
+    more than 10^6 words, then a single word whose top kernel node weights,
+    q^k * (n/k) floats, exceed the "SC node weights" budget of 2^22 floats,
+    are refused (BudgetExceeded) before the cache is consulted, so a lowered
+    budget holds for a kernel already cached.  Returns (order, words).
     """
     q, k = kernel.q, kernel.rows
     check_budget("kernel node table", q**k, 10**6)
-    per_word = q**k * (n // k)
-    group = check_budget("SC node weights", per_word, 2**22) // max(1, per_word)
-    return (*_node_table(kernel), group)
+    check_budget("SC node weights", q**k * (n // k), 2**22)
+    return _node_table(kernel)
+
+
+def _block_words(q: int, k: int, n: int) -> int:
+    """Words per block: their top kernel node weights, q^k * (n/k) floats per
+    word, take about ``_BLOCK_BYTES`` (at least one word)."""
+    return max(1, _BLOCK_BYTES * k // (8 * q**k * n))
 
 
 @lru_cache(maxsize=32)
@@ -302,7 +312,7 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     _, n, b = pi.shape
     if n != k**t:
         raise ValueError(f"posterior block length {n} does not match k^t = {k**t}")
-    order, words, _ = _v_table(kernel, n)
+    order, words = _v_table(kernel, n)
     rate0, certify = ({}, frozenset()) if plan is None else (plan.rate0, plan.certify)
 
     def certified(pi, level, base):
@@ -402,23 +412,28 @@ def _law(w: np.ndarray, q: int) -> np.ndarray:
     return law / total
 
 
-def _posterior_table(channel: Channel, y: np.ndarray) -> np.ndarray:
+def _posterior_table(channel: Channel) -> np.ndarray:
     """The (q, outputs) table w / (column totals) of P(x | y), uniform prior.
 
-    Refuses received symbols in ``y`` with zero likelihood under every input.
     Gathering from it uses the same operands, summed in the same order, as
-    dividing each gathered w[x, y] by its own sum over x.
+    dividing each gathered w[x, y] by its own sum over x.  An output that no
+    input reaches keeps a zero column; ``_check_received`` refuses it.
     """
     total = channel.w.sum(axis=0)
-    dead = total <= 0
+    return channel.w / np.where(total <= 0, 1.0, total)
+
+
+def _check_received(channel: Channel, y: np.ndarray):
+    """Refuses received symbols in ``y`` with zero likelihood under every input."""
+    dead = channel.w.sum(axis=0) <= 0
     if dead.any() and np.take(dead, y).any():
         raise ValueError("received symbol with zero likelihood under every input")
-    return channel.w / np.where(dead, 1.0, total)
 
 
 def _channel_posteriors(channel: Channel, y: np.ndarray) -> np.ndarray:
     """Symbol-major (q, N, B) posteriors P(x | y) of (B, N) words, uniform prior."""
-    return np.take(_posterior_table(channel, y), y.T, axis=1)
+    _check_received(channel, y)
+    return np.take(_posterior_table(channel), y.T, axis=1)
 
 
 def _check_field(q: int, channel: Channel):
@@ -512,22 +527,19 @@ def _decode_batch(code: PolarCode, y: np.ndarray, channel: Channel) -> np.ndarra
     """(B, N) decisions u of (B, N) received words, through the pruned plan.
 
     The plan answers every frozen index, so the leaf decides information
-    indices only.  Words are decoded in groups that fit the "SC node
-    weights" budget (see ``_v_table``).  Words whose u misses a frozen value,
-    which SC fails, are decoded again, in such groups, certifying frozen-free
-    subtrees only.
+    indices only.  The B words are decoded as one group, so memory follows
+    B: the Monte Carlo passes hand over one block at a time.  Words whose u
+    misses a frozen value, which SC fails, are decoded again as one group,
+    certifying frozen-free subtrees only.
     """
     kernel, t, plan = code.kernel, code.t, code._sc_plan
-    group = _v_table(kernel, code.block_length)[2]
     tie = _TIE * np.arange(code.q)
 
     def leaf(i, p):
         return np.argmax(p - tie, axis=1)
 
     def decode(y, plan):
-        x_hat = [_sc(kernel, _channel_posteriors(channel, y[lo:lo + group]), t, leaf, plan)
-                 for lo in range(0, len(y), group)]
-        return tensor_apply(kernel, t, np.concatenate(x_hat, axis=1).T)
+        return tensor_apply(kernel, t, _sc(kernel, _channel_posteriors(channel, y), t, leaf, plan).T)
 
     u = decode(y, plan)
     missed = np.flatnonzero((np.take(u, code.frozen, axis=1) != code.frozen_values % code.q).any(axis=1))
@@ -575,10 +587,12 @@ def genie_error_rates(
     decoder's rule, is compared with the truth, conditioned on the true
     values of all earlier indices.  Chunked like ``fer_experiment``: the
     estimate depends only on (seed, trials), and ``rng`` itself draws
-    nothing.  Within a chunk, blocks of words pass through the tree level by
-    level in truth-relative coordinates (see the module docstring); the
-    truth-relative table's q * q * outputs entries fall under the channel
-    table budget of 10^7.
+    nothing.  A chunk draws its truth whole, in the smallest dtype that
+    holds a symbol; then each block of words is encoded, sampled and passed
+    through the tree level by level in truth-relative coordinates (see the
+    module docstring), so memory follows the block.  The truth-relative
+    table depends only on the channel and is built once per call; its
+    q * q * outputs entries fall under the channel table budget of 10^7.
     """
     _check_field(kernel.q, channel)
     if t < 0:
@@ -590,20 +604,21 @@ def genie_error_rates(
     inv = _inverse(kernel)
     symbol = np.min_scalar_type(q - 1)
     key_type = np.min_scalar_type(q * outputs - 1)
-    width = max(1, _BLOCK_BYTES * k // (8 * q**k * n))
+    width = _block_words(q, k, n)
     tie = _TIE * np.arange(q)
+    table = _posterior_table(channel)
+    # relative[c, x * outputs + y] = P(x + c | y)
+    relative = np.stack([np.roll(table, -s, axis=0) for s in range(q)], axis=1).reshape(q, -1)
     errors = np.zeros(n, dtype=np.int64)
     for crng, size in _trial_chunks(rng, trials):
-        truth = crng.integers(0, q, size=(size, n))
-        x = tensor_apply(inv, t, truth).astype(symbol)
-        truth = truth.astype(symbol)
-        y = sample_outputs(channel, x, crng)
-        table = _posterior_table(channel, y)
-        # relative[c, x * outputs + y] = P(x + c | y)
-        relative = np.stack([np.roll(table, -s, axis=0) for s in range(q)], axis=1).reshape(q, -1)
+        truth = crng.integers(0, q, size=(size, n)).astype(symbol)
         for lo in range(0, size, width):
-            key = np.multiply(x[lo:lo + width], outputs, dtype=key_type)
-            key += y[lo:lo + width]
+            u = truth[lo:lo + width]
+            x = tensor_apply(inv, t, u).astype(symbol)
+            y = sample_outputs(channel, x, crng)
+            _check_received(channel, y)
+            key = np.multiply(x, outputs, dtype=key_type)
+            key += y
             p = np.take(relative, key.T, axis=1)
             b = p.shape[2]
             for _ in range(t):
@@ -620,7 +635,7 @@ def genie_error_rates(
             # the decoder's rule in the original coordinates: symbol u + c
             # scores p'(c) - tie[u + c], and u is wrong when another symbol
             # beats its score, or ties it and is smaller (u + c wraps past q)
-            u = truth[lo:lo + width].T
+            u = u.T
             best = p[0] - np.take(tie, u)
             wrong = np.zeros(u.shape, dtype=bool)
             for c in range(1, q):
@@ -664,15 +679,23 @@ def fer_experiment(code: PolarCode, channel: Channel, trials: int, rng: np.rando
         ``rng = default_rng(seed)`` the counts depend only on (seed, trials),
         and a run's first chunks are the same words as those of any longer
         run with the same seed.
+
+    A chunk draws its messages whole, in the smallest dtype that holds a
+    symbol, then encodes, samples and decodes one block of words at a time
+    (see the module docstring): memory follows the block, not the chunk, and
+    the count does not depend on the block.
     """
     _check_field(code.q, channel)
-    info = code.info
+    q, info = code.q, code.info
+    width = _block_words(q, code.kernel.rows, code.block_length)
     failures = 0
     for crng, size in _trial_chunks(rng, trials):
-        messages = crng.integers(0, code.q, size=(size, len(info)))
-        y = sample_outputs(channel, encode(code, messages), crng)
-        u_hat = _decode_batch(code, y, channel)
-        failures += int(np.any(u_hat[:, info] != messages, axis=1).sum())
+        messages = crng.integers(0, q, size=(size, len(info))).astype(np.min_scalar_type(q - 1))
+        for lo in range(0, size, width):
+            block = messages[lo:lo + width]
+            y = sample_outputs(channel, encode(code, block), crng)
+            u_hat = _decode_batch(code, y, channel)
+            failures += int(np.any(u_hat[:, info] != block, axis=1).sum())
     fer = failures / trials
     lo, hi = _wilson(failures, trials)
     return FerResult(failures, trials, fer, lo, hi)

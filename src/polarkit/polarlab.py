@@ -223,20 +223,30 @@ class MartingaleTreeLevel:
 
     @property
     def log_values(self) -> np.ndarray:
-        """ln z = min(s, -ln(1 + e^-s)), s clamped to [-700, 746] in the exp:
-        the min restores ln z = s below, and e^-s rounds to 0 above."""
-        out = np.clip(self.logits, _NEGLIGIBLE, 746.0)
-        np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+        """ln z = min(s, -ln(1 + e^-s)), s floored at -700 in the exp: the
+        min restores ln z = s below, and above 746 e^-s is 0 (ln z = -0.0)."""
+        out = np.maximum(self.logits, _NEGLIGIBLE)
+        np.log1p(_exp_in_place(np.negative(out, out=out)), out=out)
         return np.minimum(np.negative(out, out=out), self.logits, out=out)
 
     @property
     def values(self) -> np.ndarray:
-        log_values = self.log_values
-        return np.exp(log_values, out=log_values)
+        return _exp_in_place(self.log_values)
 
     @property
     def mean(self) -> float:
         return float(self.values.mean())
+
+
+def _exp_in_place(x: np.ndarray) -> np.ndarray:
+    """e^x into x.  Below -746 e^x rounds to 0; those entries go through exp
+    as 0 and are zeroed after, since numpy's exp is slow where it underflows
+    (and, called with ``where=``, slow everywhere)."""
+    tiny = x < -746.0
+    np.copyto(x, 0.0, where=tiny)
+    np.exp(x, out=x)
+    np.copyto(x, 0.0, where=tiny)
+    return x
 
 
 def _start_logits(z0: float, t: int, n: int) -> np.ndarray:

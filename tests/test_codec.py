@@ -665,7 +665,7 @@ def test_sc_matches_reference_recursion(name, kind):
 
 
 def _block_bytes(kernel, t, words):
-    """A ``codec._BLOCK_BYTES`` that gives the genie pass ``words`` words per block."""
+    """A ``codec._BLOCK_BYTES`` that gives the Monte Carlo passes ``words`` words per block."""
     q, k = kernel.q, kernel.rows
     return words * 8 * q**k * k**t // k
 
@@ -717,6 +717,42 @@ def test_genie_truth_relative_table_is_budgeted(monkeypatch):
         genie_error_rates(ARIKAN, make_qsc(2, 0.1), 2, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("trials", [1023, 1025, 2049])
+@pytest.mark.parametrize("kind", ["erasure", "qsc"])
+def test_fer_counts_do_not_depend_on_the_block(kind, trials, monkeypatch):
+    # blocks of 1 and 7 words against one block per chunk: a chunk of 1023
+    # ends on a short block, and 1025 or 2049 trials end on a one-trial
+    # chunk.  Blocks draw their noise from the chunk's stream in order, and
+    # SC decides each word alone
+    kernel, t, ch = {
+        "erasure": (ARIKAN, 3, make_erasure(2, 0.4)),
+        "qsc": (_reference_kernel("f3")[0], 2, make_qsc(3, 0.1)),
+    }[kind]
+    code = construct_code(kernel, ch, t, rate=0.5, rng=np.random.default_rng(71), genie_trials=1000)
+    counts = {}
+    for words in (1, 7, codec._CHUNK):
+        monkeypatch.setattr(codec, "_BLOCK_BYTES", _block_bytes(kernel, t, words))
+        counts[words] = fer_experiment(code, ch, trials, np.random.default_rng(73)).failures
+    assert counts[1] == counts[7] == counts[codec._CHUNK] > 0, counts
+
+
+def test_fer_memory_follows_the_block():
+    # whole-chunk arrays at arikan t=11 traced 162 MB for one chunk: int64
+    # codewords and decisions, float64 uniforms and thresholds, and the SC
+    # node weights of the whole chunk.  A block holds what its words need,
+    # and the chunk's message draw, 8 MB as int64, is the largest array left
+    ch = make_erasure(2, 0.3)
+    code = construct_code(ARIKAN, ch, 11, rate=0.5, frozen_zero=True)
+    fer_experiment(code, ch, 2, np.random.default_rng(79))  # the SC plan and tables are cached
+    tracemalloc.start()
+    try:
+        fer_experiment(code, ch, 1024, np.random.default_rng(83))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 10**6
+
+
 class _Pass(NamedTuple):
     """One ``_sc`` call of ``_decode_batch``."""
 
@@ -743,31 +779,39 @@ def _record_passes(monkeypatch) -> list:
 
 def test_grouped_decode_matches_the_whole_batch(monkeypatch):
     # arikan t=8 weighs 4 * 128 = 512 floats per word at the top node; a
-    # budget of seven words' weights decodes 100 words in groups of 7
+    # block of seven words' weights runs 100 trials in groups of 7
     rng = np.random.default_rng(61)
     code = construct_code(ARIKAN, make_erasure(2, 0.3), 8, rate=0.5, rng=rng)
-    y = sample_outputs(code.channel, encode(code, rng.integers(0, 2, size=(100, len(code.info)))), rng)
-    whole = _decode_batch(code, y, code.channel)
+    monkeypatch.setattr(codec, "_BLOCK_BYTES", _block_bytes(ARIKAN, 8, 7))
+    received, decoded = [], []
 
+    def recording(code, y, channel):
+        received.append(y)
+        decoded.append(_decode_batch(code, y, channel))
+        return decoded[-1]
+
+    monkeypatch.setattr(codec, "_decode_batch", recording)
     passes = _record_passes(monkeypatch)
-    monkeypatch.setenv("POLARLAB_BUDGET", str(7 * 512))
-    assert np.array_equal(_decode_batch(code, y, code.channel), whole)
+    fer_experiment(code, code.channel, 100, np.random.default_rng(62))
     assert [p.pi.shape[2] for p in passes if not p.frozen_free] == [7] * 14 + [2]
     assert all(p.pi.shape[2] <= 7 for p in passes)
+    assert np.array_equal(np.concatenate(decoded), _decode_batch(code, np.concatenate(received), code.channel))
 
-    # 50 noiseless words, each contradicting one frozen value: every group's
-    # root certificate holds, all 50 miss a frozen value, and the re-decode
-    # runs them in groups of the same budget
+    # 50 noiseless words, each contradicting one frozen value: every block's
+    # root certificate holds, all 50 miss a frozen value, and each block's
+    # re-decode runs its words as one group
     u = rng.integers(0, 2, size=(50, code.block_length))
     u[:, code.frozen] = code.frozen_values
     u[np.arange(50), rng.choice(code.frozen, 50)] ^= 1
     x = tensor_apply(ARIKAN.inverse(), 8, u)
+    width = codec._block_words(2, 2, code.block_length)
     passes.clear()
-    assert np.array_equal(_decode_batch(code, x, code.channel), reference_decode(code, x, code.channel))
-    assert [(p.pi.shape[2], p.frozen_free) for p in passes] == [(7, False)] * 7 + [(1, False)] + [(7, True)] * 7 + [(1, True)]
+    blocks = [_decode_batch(code, x[lo:lo + width], code.channel) for lo in range(0, 50, width)]
+    assert np.array_equal(np.concatenate(blocks), reference_decode(code, x, code.channel))
+    assert [(p.pi.shape[2], p.frozen_free) for p in passes] == [(7, False), (7, True)] * 7 + [(1, False), (1, True)]
     monkeypatch.setenv("POLARLAB_BUDGET", "511")
     with pytest.raises(BudgetExceeded, match=r"^SC node weights budget exceeded: 512 > 511$"):
-        _decode_batch(code, y, code.channel)
+        _decode_batch(code, x, code.channel)
 
 
 def test_near_ties_go_to_the_smaller_symbol():

@@ -285,6 +285,22 @@ def test_deep_leaves_stay_finite():
     assert level.log_values.max() <= 0.0
 
 
+def test_tree_views_match_the_unmasked_exp_bit_for_bit():
+    # values and log_values skip the exp where it underflows to 0; every
+    # bit, the sign of -0.0 included, must equal calling exp everywhere
+    edges = [-np.inf, -800, -746.5, -746, -745.5, -708, -700, -1, -0.0, 0, 1, 700, 708, 745.5, 746, 746.5, 800, np.inf]
+    logits = np.concatenate([evolve_tree(ARIKAN, 0.5, 16).logits, edges])
+    assert (logits < -746).sum() > 1000 and (logits > 746).sum() > 1000
+    level = MartingaleTreeLevel(16, logits)
+    with np.errstate(under="ignore"):
+        log_values = np.clip(logits, -700.0, 746.0)
+        np.log1p(np.exp(-log_values), out=log_values)
+        log_values = np.minimum(-log_values, logits)
+        values = np.exp(log_values)
+    assert level.log_values.tobytes() == log_values.tobytes()
+    assert level.values.tobytes() == values.tobytes()
+
+
 def test_tree_mean_conservation():
     for z0 in (0.2, 0.5, 0.8):
         for t in (4, 8, 12):
