@@ -5,7 +5,8 @@
 
 Every directory here that holds a ``cases.json`` is named after the command
 its cases run.  Each case runs through ``cli.main`` in this process; its
-stdout (the CSV, or the JSON of ``construct``) and stderr are written beside
+stdout (the JSON of ``construct``, ``exponents`` and ``analyze-kernel``, the
+CSV of the others) and stderr are written beside
 the manifest, and the Python and numpy versions that produced them to the
 directory's ``versions.txt``.  Record only when a change is meant to alter
 these outputs, and say so in CHANGES.md.
@@ -25,6 +26,8 @@ import numpy as np
 from polarkit.cli import main
 
 HERE = Path(__file__).resolve().parent
+# commands whose stdout is one JSON document; the others print CSV
+JSON_COMMANDS = {"construct", "exponents", "analyze-kernel"}
 
 
 def case_directories(root: Path = HERE) -> list:
@@ -33,8 +36,8 @@ def case_directories(root: Path = HERE) -> list:
 
 
 def stdout_name(directory: Path, name: str) -> str:
-    """File name of a case's recorded stdout: JSON for ``construct``, else CSV."""
-    return f"{name}.json" if directory.name == "construct" else f"{name}.csv"
+    """File name of a case's recorded stdout: ``.json`` or ``.csv``, by command."""
+    return f"{name}.json" if directory.name in JSON_COMMANDS else f"{name}.csv"
 
 
 def run_case(argv):

@@ -16,6 +16,8 @@ from polarkit.cli import main, resolve_channel, resolve_kernel
 from polarkit.fqlin import FqMatrix, kron_power
 from polarkit.polarlab import leading_exponents
 
+from golden.record import stdout_name
+
 
 def run_cli(args):
     return main(args)
@@ -91,13 +93,12 @@ def assert_golden_output(command, name, capsys):
     directory = GOLDEN / command
     assert run_cli(GOLDEN_CASES[command][name]) == 0
     out, err = capsys.readouterr()
-    suffix = ".json" if command == "construct" else ".csv"
-    assert out.encode() == (directory / f"{name}{suffix}").read_bytes()
+    assert out.encode() == (directory / stdout_name(directory, name)).read_bytes()
     assert err.encode() == (directory / f"{name}.stderr").read_bytes()
 
 
 def test_every_golden_directory_is_compared():
-    assert set(GOLDEN_CASES) == {"polarize", "simulate", "construct"}
+    assert set(GOLDEN_CASES) == {"polarize", "simulate", "construct", "exponents", "analyze-kernel"}
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CASES["polarize"]))
@@ -115,6 +116,18 @@ def test_simulate_matches_its_golden_output(name, capsys):
 @pytest.mark.parametrize("name", list(GOLDEN_CASES["construct"]))
 def test_construct_matches_its_golden_output(name, capsys):
     assert_golden_output("construct", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["exponents"]))
+def test_exponents_matches_its_golden_output(name, capsys):
+    assert_golden_output("exponents", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["analyze-kernel"]))
+def test_analyze_kernel_matches_its_golden_output(name, capsys):
+    # hamming7 takes its default 3-column block; the inline case passes a
+    # kernel literal to --kernel
+    assert_golden_output("analyze-kernel", name, capsys)
 
 
 def test_exponents_json(tmp_path):
