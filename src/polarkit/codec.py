@@ -50,6 +50,22 @@ back to the original coordinates, where the decision rule is applied as in
 decoding.  The pass runs block by block too, each block's truth encoded and
 sampled on its own.
 
+The genie pass runs its chunks on the available cores: W lanes, one per
+core up to one per chunk, lane j taking chunks j, j + W, ... in order on a
+thread of its own (lane 0 on the caller's), each with blocks of 1/W of the
+serial width, so the node weights in flight stay about ``_BLOCK_BYTES``.
+Chunks own their streams and the lanes' error counts are integers, so the
+estimate does not depend on W; with one chunk or one core no thread starts.
+numpy releases the GIL inside each array operation, which is what the lanes
+overlap.  The caller allocates every lane's level arrays before the lanes
+start, and each level writes into them with ``out=``: glibc gives each
+thread its own malloc arena, and pages freed in one arena are not reused by
+another, so arrays allocated level by level inside the lanes read about 15%
+more peak RSS on ``genie_f3`` (58 MB against 51).  Lanes narrower than 1/W of the serial width are slower, not
+faster: their shorter numpy calls contend for the GIL.  ``fer_experiment``
+stays serial, since the SC recursion holds the GIL through its Python work
+at every node.
+
 Decoding skips two kinds of subtree whose output is known exactly.  An
 all-frozen subtree returns its own codeword, the depth-l transform of its
 frozen values, cached per code.  Any other subtree above the leaves, down to
@@ -80,6 +96,8 @@ as x M^{tensor t}.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -376,40 +394,56 @@ def _sc(kernel: FqMatrix, pi: np.ndarray, t: int, leaf, plan: _ScPlan | None = N
     return node(pi, t, 0)
 
 
-def _node_weights(children: np.ndarray, order) -> np.ndarray:
+def _node_weights(children: np.ndarray, order, out=None, head=None) -> np.ndarray:
     """Weight of every q^k child-symbol word of a kernel node, in v order.
 
     ``children`` holds the k children's posteriors as (q, k, m); row v of the
     (q^k, m) result is the product of the children's posteriors of the child
     word v M^-1, with ``order`` from ``_v_table``, so digit a of a row index
-    is kernel output a.
+    is kernel output a.  Flat float buffers of at least q^k * m and, for
+    k > 2, q^(k-1) * m values may be passed as ``out`` and ``head``: the
+    weights are written into ``out``, and the products of the leading
+    children alternate between the two, the last one in ``head``.
     """
     q, k, m = children.shape
+    w = np.empty((q**k, m)) if out is None else out[: q**k * m].reshape(q**k, m)
+    if k > 2 and head is None:
+        head = np.empty(q ** (k - 1) * m)
     # the last child's factor puts each row in kernel-output order
-    head = children[:, 0] if k > 1 else np.ones((1, m))
+    h = children[:, 0] if k > 1 else np.ones((1, m))
     for s in range(1, k - 1):
-        head = (head[:, None] * children[None, :, s]).reshape(-1, m)
-    w = np.empty((q**k, m))
+        buf = head if (k - s) % 2 == 0 else w.reshape(-1)
+        h = np.multiply(h[:, None], children[None, :, s], out=buf[: len(h) * q * m].reshape(len(h), q, m))
+        h = h.reshape(-1, m)
     for row, (c, last) in enumerate(order):
-        np.multiply(head[c], children[last, k - 1], out=w[row])
+        np.multiply(h[c], children[last, k - 1], out=w[row])
     return w
 
 
-def _law(w: np.ndarray, q: int) -> np.ndarray:
+def _law(w: np.ndarray, q: int, out=None, scratch=None) -> np.ndarray:
     """Normalised (q, m) law of the leading kernel output of (q^j, m) weights.
 
     Sums over the trailing digits; where every weight is zero, the earlier
     decisions contradict each other (weights are nonnegative, so only a zero
-    total) and the law falls back to uniform.
+    total) and the law falls back to uniform.  ``out``, if given, receives
+    the law: any (q, ...) array, strided or not, whose trailing axes a
+    length-m axis reshapes to.  ``scratch``, if given, holds at least
+    (q + 1) * m floats for the summed law and its column totals.
     """
-    law = w if len(w) == q else w.reshape(q, -1, w.shape[1]).sum(axis=1)
-    total = law.sum(axis=0)
+    m = w.shape[1]
+    sums = totals = None
+    if scratch is not None:
+        sums, totals = scratch[: q * m].reshape(q, m), scratch[q * m : (q + 1) * m]
+    law = w if len(w) == q else np.sum(w.reshape(q, -1, m), axis=1, out=sums)
+    total = np.sum(law, axis=0, out=totals)
     if not total.all():
         if law is w:
             law = w.copy()
         law[:, total == 0.0] = 1.0
-        total = law.sum(axis=0)
-    return law / total
+        np.sum(law, axis=0, out=total)
+    if out is None:
+        return law / total
+    return np.divide(law.reshape(out.shape), total.reshape(out.shape[1:]), out=out)
 
 
 def _posterior_table(channel: Channel) -> np.ndarray:
@@ -587,12 +621,16 @@ def genie_error_rates(
     decoder's rule, is compared with the truth, conditioned on the true
     values of all earlier indices.  Chunked like ``fer_experiment``: the
     estimate depends only on (seed, trials), and ``rng`` itself draws
-    nothing.  A chunk draws its truth whole, in the smallest dtype that
-    holds a symbol; then each block of words is encoded, sampled and passed
-    through the tree level by level in truth-relative coordinates (see the
-    module docstring), so memory follows the block.  The truth-relative
-    table depends only on the channel and is built once per call; its
-    q * q * outputs entries fall under the channel table budget of 10^7.
+    nothing.  The chunks run as lanes on the available cores, lane j taking
+    chunks j, j + W, ... in order, and the lanes' integer error counts are
+    summed, so the estimate does not depend on the core count either.  A
+    chunk draws its truth whole, in the smallest dtype that holds a symbol;
+    then each block of words is encoded, sampled and passed through the
+    tree level by level in truth-relative coordinates (see the module
+    docstring), in arrays the caller allocated for the lane, so memory
+    follows the blocks in flight.  The truth-relative table depends only on
+    the channel and is built once per call; its q * q * outputs entries fall
+    under the channel table budget of 10^7.
     """
     _check_field(kernel.q, channel)
     if t < 0:
@@ -604,45 +642,95 @@ def genie_error_rates(
     inv = _inverse(kernel)
     symbol = np.min_scalar_type(q - 1)
     key_type = np.min_scalar_type(q * outputs - 1)
-    width = _block_words(q, k, n)
     tie = _TIE * np.arange(q)
     table = _posterior_table(channel)
     # relative[c, x * outputs + y] = P(x + c | y)
     relative = np.stack([np.roll(table, -s, axis=0) for s in range(q)], axis=1).reshape(q, -1)
-    errors = np.zeros(n, dtype=np.int64)
-    for crng, size in _trial_chunks(rng, trials):
-        truth = crng.integers(0, q, size=(size, n)).astype(symbol)
-        for lo in range(0, size, width):
-            u = truth[lo:lo + width]
-            x = tensor_apply(inv, t, u).astype(symbol)
-            y = sample_outputs(channel, x, crng)
-            _check_received(channel, y)
-            key = np.multiply(x, outputs, dtype=key_type)
-            key += y
-            p = np.take(relative, key.T, axis=1)
-            b = p.shape[2]
-            for _ in range(t):
-                # p holds (q, undecided digits, decided digits, words): the
-                # leading position digit is every node's child index, so each
-                # child is one contiguous block, and the decided output digit
-                # goes in last
-                w = _node_weights(p.reshape(q, k, -1), order)
-                p = np.empty_like(p)
-                out = p.reshape(q, n // k, k, b)
-                for a in range(k):
-                    # the true prefix v'_0..v'_{a-1} = 0 is the leading block
-                    out[:, :, a] = _law(w[: q ** (k - a)], q).reshape(q, n // k, b)
-            # the decoder's rule in the original coordinates: symbol u + c
-            # scores p'(c) - tie[u + c], and u is wrong when another symbol
-            # beats its score, or ties it and is smaller (u + c wraps past q)
-            u = u.T
-            best = p[0] - np.take(tie, u)
-            wrong = np.zeros(u.shape, dtype=bool)
-            for c in range(1, q):
-                score = p[c] - np.take(np.roll(tie, -c), u)
-                wrong |= (score > best) | ((score == best) & (u >= q - c))
-            errors += np.count_nonzero(wrong, axis=1)
-    return errors / trials
+    chunks = _trial_chunks(rng, trials)
+    lanes = min(len(chunks), _cores())
+    # the lanes' blocks together hold about one serial block of node weights
+    width = max(1, _block_words(q, k, n) // lanes)
+
+    def run(own, buffers):
+        """Summed (N,) error counts of the chunks ``own``, in the lane's ``buffers``."""
+        cur, nxt, weights, head, scratch = buffers
+        errors = np.zeros(n, dtype=np.int64)
+        for crng, size in own:
+            truth = crng.integers(0, q, size=(size, n)).astype(symbol)
+            for lo in range(0, size, width):
+                u = truth[lo:lo + width]
+                b = len(u)
+                x = tensor_apply(inv, t, u).astype(symbol)
+                y = sample_outputs(channel, x, crng)
+                _check_received(channel, y)
+                key = np.multiply(x, outputs, dtype=key_type)
+                key += y
+                # every key is in range; a checked take (mode "raise") would
+                # gather into a temporary and copy it to out
+                p = np.take(relative, key.T, axis=1, out=cur[: q * n * b].reshape(q, n, b), mode="clip")
+                for _ in range(t):
+                    # p holds (q, undecided digits, decided digits, words):
+                    # the leading position digit is every node's child
+                    # index, so each child is one contiguous block, and the
+                    # decided output digit goes in last
+                    w = _node_weights(p.reshape(q, k, -1), order, out=weights, head=head)
+                    out = nxt[: q * n * b].reshape(q, n // k, k, b)
+                    for a in range(k):
+                        # the true prefix v'_0..v'_{a-1} = 0 is the leading block
+                        _law(w[: q ** (k - a)], q, out=out[:, :, a], scratch=scratch)
+                    p = out.reshape(q, n, b)
+                    cur, nxt = nxt, cur
+                # the decoder's rule in the original coordinates: symbol u + c
+                # scores p'(c) - tie[u + c], and u is wrong when another
+                # symbol beats its score, or ties it and is smaller (u + c
+                # wraps past q)
+                u = u.T
+                best = p[0] - np.take(tie, u)
+                wrong = np.zeros(u.shape, dtype=bool)
+                for c in range(1, q):
+                    score = p[c] - np.take(np.roll(tie, -c), u)
+                    wrong |= (score > best) | ((score == best) & (u >= q - c))
+                errors += np.count_nonzero(wrong, axis=1)
+        return errors
+
+    # the caller allocates every lane's level arrays (see the module docstring)
+    per_lane = [chunks[j::lanes] for j in range(lanes)]
+    buffers = [_level_buffers(q, k, n, min(width, max(size for _, size in c))) for c in per_lane]
+    results = [None] * lanes
+
+    def lane(j):
+        try:
+            results[j] = run(per_lane[j], buffers[j])
+        except BaseException as exc:  # raised again in the caller
+            results[j] = exc
+
+    # lane 0 runs on the caller's thread: one lane starts no thread at all
+    threads = [threading.Thread(target=lane, args=(j,)) for j in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    lane(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(results) / trials
+
+
+def _level_buffers(q: int, k: int, n: int, words: int) -> tuple:
+    """Flat float64 arrays for one lane's genie level pass over blocks of up
+    to ``words`` words: two ping-pong posterior buffers, the node weights,
+    the head product, and the summed law with its totals."""
+    m = n // k * words
+    return (np.empty(q * n * words), np.empty(q * n * words), np.empty(q**k * m),
+            np.empty(q ** (k - 1) * m if k > 2 else 0), np.empty((q + 1) * m))
+
+
+def _cores() -> int:
+    """Cores this process may run on: the most lanes the genie pass runs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _trial_chunks(rng: np.random.Generator, trials: int) -> list:

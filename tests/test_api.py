@@ -3,6 +3,9 @@
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,3 +153,13 @@ def test_traced_bench_hooks_resolve():
     assert layers.WRAPS
     for module, attr, name, _ in layers.WRAPS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {name})"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the genie lanes run on plain threads: concurrent.futures would add
+    # about 5 ms to every import of polarkit
+    code = "import sys, polarkit.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -707,6 +709,81 @@ def test_genie_memory_follows_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 40 * 10**6
+
+
+def _lane_threads(monkeypatch):
+    """The threads that sample a channel in ``codec``, one per lane.
+
+    Thread objects, not idents: a lane that ends before the next one starts
+    may hand its ident on to it.
+    """
+    threads = set()
+    sample = codec.sample_outputs
+    monkeypatch.setattr(codec, "sample_outputs", lambda *args: threads.add(threading.current_thread()) or sample(*args))
+    return threads
+
+
+@pytest.mark.parametrize("trials", [1025, 2049, 3100])
+@pytest.mark.parametrize("kind", ["qsc", "erasure-table"])
+def test_genie_matches_oracle_on_every_core_count(kind, trials, monkeypatch):
+    # 2, 3 or 4 chunks, the last one short, run as min(chunks, cores) lanes;
+    # lane j takes chunks j, j + W, ..., and the lanes' integer counts are
+    # summed, so the core count never shows in the estimate
+    kernel = _reference_kernel("f3")[0]
+    q = kernel.q
+    ch = make_qsc(q, 0.1) if kind == "qsc" else Channel(q, make_erasure(q, 0.3).w)
+    ref = oracle_genie_error_rates(kernel, ch, 3, trials, np.random.default_rng(89))
+    chunks = -(-trials // codec._CHUNK)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the lanes trade the interpreter lock often
+    try:
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(codec, "_cores", lambda: cores)
+            lanes = _lane_threads(monkeypatch)
+            rates = genie_error_rates(kernel, ch, 3, trials, np.random.default_rng(89))
+            assert np.array_equal(rates, ref), cores
+            assert len(lanes) == min(chunks, cores)
+            assert threading.current_thread() in lanes  # the caller runs lane 0 itself
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_genie_lane_error_reaches_the_caller(monkeypatch):
+    # a dead received symbol in a pooled lane raises the caller's ValueError,
+    # and every lane's thread has ended by then
+    ch = _table_with_a_dead_output()
+    sample = codec.sample_outputs
+
+    def dead_in_lanes(c, x, rng):
+        y = sample(c, x, rng)
+        if threading.current_thread() is not threading.main_thread():
+            y[0, 0] = ch.outputs - 1
+        return y
+
+    monkeypatch.setattr(codec, "_cores", lambda: 2)
+    monkeypatch.setattr(codec, "sample_outputs", dead_in_lanes)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="zero likelihood"):
+        genie_error_rates(_reference_kernel("f3")[0], ch, 2, 2049, np.random.default_rng(97))
+    assert threading.active_count() == before
+
+
+def test_genie_lanes_share_the_block_memory(monkeypatch):
+    # two lanes decode blocks of half the serial width, in arrays the caller
+    # allocated: arikan t=10 stays within the one-lane bound
+    monkeypatch.setattr(codec, "_cores", lambda: 2)
+    ch = make_qsc(2, 0.05)
+    rng = np.random.default_rng(101)
+    genie_error_rates(ARIKAN, ch, 2, 10, rng)  # the node table and inverse are cached
+    lanes = _lane_threads(monkeypatch)
+    tracemalloc.start()
+    try:
+        genie_error_rates(ARIKAN, ch, 10, 2049, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lanes) == 2
     assert peak <= 40 * 10**6
 
 
