@@ -434,13 +434,13 @@ def _law(w: np.ndarray, q: int, out=None, scratch=None) -> np.ndarray:
     sums = totals = None
     if scratch is not None:
         sums, totals = scratch[: q * m].reshape(q, m), scratch[q * m : (q + 1) * m]
-    law = w if len(w) == q else np.sum(w.reshape(q, -1, m), axis=1, out=sums)
-    total = np.sum(law, axis=0, out=totals)
+    law = w if len(w) == q else w.reshape(q, -1, m).sum(axis=1, out=sums)
+    total = law.sum(axis=0, out=totals)
     if not total.all():
         if law is w:
             law = w.copy()
         law[:, total == 0.0] = 1.0
-        np.sum(law, axis=0, out=total)
+        law.sum(axis=0, out=total)
     if out is None:
         return law / total
     return np.divide(law.reshape(out.shape), total.reshape(out.shape[1:]), out=out)
