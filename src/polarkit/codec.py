@@ -50,21 +50,26 @@ back to the original coordinates, where the decision rule is applied as in
 decoding.  The pass runs block by block too, each block's truth encoded and
 sampled on its own.
 
-The genie pass runs its chunks on the available cores: W lanes, one per
-core up to one per chunk, lane j taking chunks j, j + W, ... in order on a
-thread of its own (lane 0 on the caller's), each with blocks of 1/W of the
-serial width, so the node weights in flight stay about ``_BLOCK_BYTES``.
-Chunks own their streams and the lanes' error counts are integers, so the
-estimate does not depend on W; with one chunk or one core no thread starts.
-numpy releases the GIL inside each array operation, which is what the lanes
-overlap.  The caller allocates every lane's level arrays before the lanes
-start, and each level writes into them with ``out=``: glibc gives each
-thread its own malloc arena, and pages freed in one arena are not reused by
-another, so arrays allocated level by level inside the lanes read about 15%
-more peak RSS on ``genie_f3`` (58 MB against 51).  Lanes narrower than 1/W of the serial width are slower, not
-faster: their shorter numpy calls contend for the GIL.  ``fer_experiment``
-stays serial, since the SC recursion holds the GIL through its Python work
-at every node.
+The genie pass runs its chunks as lanes: W of them, one per core up to one
+per chunk and at most ``_LANES``, lane j taking chunks j, j + W, ... in
+order on a thread of its own (lane 0 on the caller's), each with blocks of
+1/W of the serial width, so the node weights in flight stay about
+``_BLOCK_BYTES``.  Chunks own their streams and the lanes' error counts are
+integers, so the estimate does not depend on W; with one chunk or one core
+no thread starts.  numpy releases the GIL inside each array operation, which
+is what the lanes overlap.  Two lanes are the most measured, and more would
+split each block finer: two lanes of 1/4 of the serial width ran no faster
+than one lane, and of 1/8 slower, because their shorter numpy calls contend
+for the GIL.  Each lane also holds its chunk's int64 truth draw, 8 * 1024 *
+N bytes, so a second lane runs only while the draws in flight fit
+``_DRAW_BYTES``.  Each lane's level arrays are allocated once, before the
+lanes start, and every block and level writes into them with ``out=``:
+allocated level by level inside the lanes, they churn glibc's per-thread
+malloc arenas, whose freed pages no other arena reuses, and ``genie_f3``
+read 58 MB peak RSS against 51 (the serial pass reads 54).  A lane that
+fails, or an interrupt on the caller's, stops the other lanes at their next
+block.  ``fer_experiment`` stays serial, since the SC recursion holds the
+GIL through its Python work at every node.
 
 Decoding skips two kinds of subtree whose output is known exactly.  An
 all-frozen subtree returns its own codeword, the depth-l transform of its
@@ -124,6 +129,12 @@ _CHUNK = 1024
 # bytes of top-level float64 node weights per block of words: Monte Carlo
 # passes encode, sample and decode one block at a time
 _BLOCK_BYTES = 2**22
+# most genie lanes: two is the most measured, and more would split each
+# block into calls short enough to contend for the GIL
+_LANES = 2
+# bytes of chunk-wide int64 truth draws the genie lanes may hold at once;
+# a single lane runs whatever its draw
+_DRAW_BYTES = 2**24
 # a decision takes the smallest symbol within this much of the top posterior:
 # the summation order alone must not break an exact tie
 _TIE = 1e-12
@@ -621,16 +632,16 @@ def genie_error_rates(
     decoder's rule, is compared with the truth, conditioned on the true
     values of all earlier indices.  Chunked like ``fer_experiment``: the
     estimate depends only on (seed, trials), and ``rng`` itself draws
-    nothing.  The chunks run as lanes on the available cores, lane j taking
-    chunks j, j + W, ... in order, and the lanes' integer error counts are
-    summed, so the estimate does not depend on the core count either.  A
-    chunk draws its truth whole, in the smallest dtype that holds a symbol;
-    then each block of words is encoded, sampled and passed through the
-    tree level by level in truth-relative coordinates (see the module
-    docstring), in arrays the caller allocated for the lane, so memory
-    follows the blocks in flight.  The truth-relative table depends only on
-    the channel and is built once per call; its q * q * outputs entries fall
-    under the channel table budget of 10^7.
+    nothing.  The chunks run as lanes on up to ``_LANES`` of the available
+    cores, lane j taking chunks j, j + W, ... in order, and the lanes'
+    integer error counts are summed, so the estimate does not depend on the
+    core count either.  A chunk draws its truth whole, in the smallest dtype
+    that holds a symbol; then each block of words is encoded, sampled and
+    passed through the tree level by level in truth-relative coordinates
+    (see the module docstring), in arrays allocated once per lane, so memory
+    follows the blocks and draws in flight.  The truth-relative table
+    depends only on the channel and is built once per call; its q * q *
+    outputs entries fall under the channel table budget of 10^7.
     """
     _check_field(kernel.q, channel)
     if t < 0:
@@ -647,17 +658,20 @@ def genie_error_rates(
     # relative[c, x * outputs + y] = P(x + c | y)
     relative = np.stack([np.roll(table, -s, axis=0) for s in range(q)], axis=1).reshape(q, -1)
     chunks = _trial_chunks(rng, trials)
-    lanes = min(len(chunks), _cores())
+    lanes = min(len(chunks), _cores(), _LANES, max(1, _DRAW_BYTES // (8 * _CHUNK * n)))
     # the lanes' blocks together hold about one serial block of node weights
     width = max(1, _block_words(q, k, n) // lanes)
 
     def run(own, buffers):
-        """Summed (N,) error counts of the chunks ``own``, in the lane's ``buffers``."""
+        """Summed (N,) error counts of the chunks ``own``, in the lane's
+        ``buffers``; cut short once ``stop`` is set."""
         cur, nxt, weights, head, scratch = buffers
         errors = np.zeros(n, dtype=np.int64)
         for crng, size in own:
             truth = crng.integers(0, q, size=(size, n)).astype(symbol)
             for lo in range(0, size, width):
+                if stop.is_set():
+                    return errors
                 u = truth[lo:lo + width]
                 b = len(u)
                 x = tensor_apply(inv, t, u).astype(symbol)
@@ -693,26 +707,35 @@ def genie_error_rates(
                 errors += np.count_nonzero(wrong, axis=1)
         return errors
 
-    # the caller allocates every lane's level arrays (see the module docstring)
+    # each lane's level arrays, allocated once (see the module docstring)
     per_lane = [chunks[j::lanes] for j in range(lanes)]
     buffers = [_level_buffers(q, k, n, min(width, max(size for _, size in c))) for c in per_lane]
     results = [None] * lanes
+    stop = threading.Event()
 
     def lane(j):
         try:
             results[j] = run(per_lane[j], buffers[j])
-        except BaseException as exc:  # raised again in the caller
+        except Exception as exc:  # raised again in the caller
             results[j] = exc
+            stop.set()
 
     # lane 0 runs on the caller's thread: one lane starts no thread at all
     threads = [threading.Thread(target=lane, args=(j,)) for j in range(1, lanes)]
     for thread in threads:
         thread.start()
-    lane(0)
-    for thread in threads:
-        thread.join()
+    try:
+        lane(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        # an interrupt in lane 0 or in a join ends the other lanes at their
+        # next block; after the joins above, no lane reads it
+        stop.set()
+        for thread in threads:
+            thread.join()
     for result in results:
-        if isinstance(result, BaseException):
+        if isinstance(result, Exception):
             raise result
     return sum(results) / trials
 

@@ -727,9 +727,10 @@ def _lane_threads(monkeypatch):
 @pytest.mark.parametrize("trials", [1025, 2049, 3100])
 @pytest.mark.parametrize("kind", ["qsc", "erasure-table"])
 def test_genie_matches_oracle_on_every_core_count(kind, trials, monkeypatch):
-    # 2, 3 or 4 chunks, the last one short, run as min(chunks, cores) lanes;
-    # lane j takes chunks j, j + W, ..., and the lanes' integer counts are
-    # summed, so the core count never shows in the estimate
+    # 2, 3 or 4 chunks, the last one short, run as min(chunks, cores,
+    # _LANES) lanes; lane j takes chunks j, j + W, ..., and the lanes'
+    # integer counts are summed, so the core count never shows in the
+    # estimate, nor would a wider cap
     kernel = _reference_kernel("f3")[0]
     q = kernel.q
     ch = make_qsc(q, 0.1) if kind == "qsc" else Channel(q, make_erasure(q, 0.3).w)
@@ -738,12 +739,13 @@ def test_genie_matches_oracle_on_every_core_count(kind, trials, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # the lanes trade the interpreter lock often
     try:
-        for cores in (1, 2, 3):
+        for cores, cap in ((1, 2), (2, 2), (3, 2), (8, 2), (3, 3)):
             monkeypatch.setattr(codec, "_cores", lambda: cores)
+            monkeypatch.setattr(codec, "_LANES", cap)
             lanes = _lane_threads(monkeypatch)
             rates = genie_error_rates(kernel, ch, 3, trials, np.random.default_rng(89))
-            assert np.array_equal(rates, ref), cores
-            assert len(lanes) == min(chunks, cores)
+            assert np.array_equal(rates, ref), (cores, cap)
+            assert len(lanes) == min(chunks, cores, cap)
             assert threading.current_thread() in lanes  # the caller runs lane 0 itself
     finally:
         sys.setswitchinterval(interval)
@@ -769,9 +771,42 @@ def test_genie_lane_error_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_genie_lanes_stop_at_the_next_block(failing, monkeypatch):
+    # a worker lane's error, or an interrupt on the caller's lane, stops the
+    # other lane at its next block: of its 1000-odd blocks of 3 words, it
+    # samples its first, waits for the failure, and samples few more
+    kernel, ch = _reference_kernel("f3")[0], make_qsc(3, 0.1)
+    sample = codec.sample_outputs
+    started, failed = threading.Event(), threading.Event()
+    calls = {"worker": 0, "caller": 0}
+
+    def fail_after_both_sample(c, x, rng):
+        side = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+        calls[side] += 1
+        if side == failing:
+            assert started.wait(10)
+            failed.set()
+            raise KeyboardInterrupt if side == "caller" else RuntimeError("lane failed")
+        if calls[side] == 1:
+            started.set()
+        else:
+            assert failed.wait(10)
+        return sample(c, x, rng)
+
+    monkeypatch.setattr(codec, "_cores", lambda: 2)
+    monkeypatch.setattr(codec, "_BLOCK_BYTES", _block_bytes(kernel, 2, 7))
+    monkeypatch.setattr(codec, "sample_outputs", fail_after_both_sample)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt if failing == "caller" else RuntimeError):
+        genie_error_rates(kernel, ch, 2, 4097, np.random.default_rng(103))
+    assert threading.active_count() == before
+    assert calls["worker" if failing == "caller" else "caller"] <= 4
+
+
 def test_genie_lanes_share_the_block_memory(monkeypatch):
-    # two lanes decode blocks of half the serial width, in arrays the caller
-    # allocated: arikan t=10 stays within the one-lane bound
+    # two lanes decode blocks of half the serial width, in arrays allocated
+    # once per lane: arikan t=10 stays within the one-lane bound
     monkeypatch.setattr(codec, "_cores", lambda: 2)
     ch = make_qsc(2, 0.05)
     rng = np.random.default_rng(101)
@@ -785,6 +820,25 @@ def test_genie_lanes_share_the_block_memory(monkeypatch):
         tracemalloc.stop()
     assert len(lanes) == 2
     assert peak <= 40 * 10**6
+
+
+def test_genie_lanes_keep_the_truth_draws_budgeted(monkeypatch):
+    # a chunk's int64 truth draw is 32 MB at arikan t=12, over the lanes'
+    # draw budget: 8 cores and 3 chunks still run one lane, 63 MB traced,
+    # where two lanes read 91 MB and three would hold a third draw
+    monkeypatch.setattr(codec, "_cores", lambda: 8)
+    ch = make_qsc(2, 0.05)
+    rng = np.random.default_rng(107)
+    genie_error_rates(ARIKAN, ch, 2, 10, rng)  # the node table and inverse are cached
+    lanes = _lane_threads(monkeypatch)
+    tracemalloc.start()
+    try:
+        genie_error_rates(ARIKAN, ch, 12, 2049, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lanes) == 1
+    assert peak <= 72 * 10**6
 
 
 def test_genie_truth_relative_table_is_budgeted(monkeypatch):
