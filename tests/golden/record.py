@@ -5,10 +5,10 @@
 
 Every directory here that holds a ``cases.json`` is named after the command
 its cases run.  Each case runs through ``cli.main`` in this process; its
-stdout (the JSON of ``construct``, ``exponents`` and ``analyze-kernel``, the
-CSV of the others) and stderr are written beside
-the manifest, and the Python and numpy versions that produced them to the
-directory's ``versions.txt``.  Record only when a change is meant to alter
+stdout (the JSON of ``construct``, ``exponents``, ``analyze-kernel``,
+``distance`` and ``extract-columns``, the CSV of the others) and stderr are
+written beside the manifest, and the Python and numpy versions that produced
+them to the directory's ``versions.txt``.  Record only when a change is meant to alter
 these outputs, and say so in CHANGES.md.
 """
 
@@ -27,7 +27,7 @@ from polarkit.cli import main
 
 HERE = Path(__file__).resolve().parent
 # commands whose stdout is one JSON document; the others print CSV
-JSON_COMMANDS = {"construct", "exponents", "analyze-kernel"}
+JSON_COMMANDS = {"construct", "exponents", "analyze-kernel", "distance", "extract-columns"}
 
 
 def case_directories(root: Path = HERE) -> list:

@@ -98,7 +98,9 @@ def assert_golden_output(command, name, capsys):
 
 
 def test_every_golden_directory_is_compared():
-    assert set(GOLDEN_CASES) == {"polarize", "simulate", "construct", "exponents", "analyze-kernel"}
+    assert set(GOLDEN_CASES) == {
+        "polarize", "simulate", "construct", "exponents", "analyze-kernel", "distance", "extract-columns"
+    }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CASES["polarize"]))
@@ -128,6 +130,16 @@ def test_analyze_kernel_matches_its_golden_output(name, capsys):
     # hamming7 takes its default 3-column block; the inline case passes a
     # kernel literal to --kernel
     assert_golden_output("analyze-kernel", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["distance"]))
+def test_distance_matches_its_golden_output(name, capsys):
+    assert_golden_output("distance", name, capsys)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES["extract-columns"]))
+def test_extract_columns_matches_its_golden_output(name, capsys):
+    assert_golden_output("extract-columns", name, capsys)
 
 
 def test_exponents_json(tmp_path):
