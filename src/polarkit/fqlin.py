@@ -224,6 +224,11 @@ def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None
     deterministic rule every caller in this package relies on.  With
     ``reduced`` the result is the reduced row echelon form.  ``max_pivot_col``
     restricts pivoting to the leading columns (used for augmented systems).
+
+    Each pivot is one update of every row below it (above it, in the reduced
+    pass): row -= row[col] * pivot_row, then one ``%`` over the block.  A row
+    whose entry in the pivot column is 0 gets a zero multiplier and keeps its
+    values, which already lie in [0, q), so no row needs filtering out first.
     """
     a = np.array(a, dtype=np.int64) % q
     r, c = a.shape
@@ -233,25 +238,25 @@ def row_echelon(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None
     for col in range(limit):
         if row == r:
             break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
+        nonzero = a[row:, col] != 0
+        p = row + int(nonzero.argmax())
+        if not nonzero[p - row]:
             continue
-        p = row + int(nz[0])
         if p != row:
             a[[row, p]] = a[[p, row]]
-        inv = pow(int(a[row, col]), -1, q)
-        a[row] = a[row] * inv % q
-        below = np.nonzero(a[row + 1 :, col])[0] + row + 1
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, col], a[row])) % q
+        lead = int(a[row, col])
+        if lead != 1:
+            a[row] = a[row] * pow(lead, -1, q) % q
+        rest = a[row + 1 :]
+        rest -= np.multiply.outer(rest[:, col], a[row])
+        rest %= q
         pivots.append(col)
         row += 1
     if reduced:
         for i in reversed(range(len(pivots))):
-            col = pivots[i]
-            above = np.nonzero(a[:i, col])[0]
-            if above.size:
-                a[above] = (a[above] - np.outer(a[above, col], a[i])) % q
+            above = a[:i]
+            above -= np.multiply.outer(above[:, pivots[i]], a[i])
+            above %= q
     return a, pivots
 
 
@@ -295,13 +300,19 @@ def min_weight_search(a: FqMatrix, classes=None):
     numpy step takes _SEARCH_CHUNK candidates or so, and the support walk
     keeps one block per layer, so memory stays bounded.
     """
+    n = a.cols
+    ech, pivots = row_echelon(np.hstack([a.arr, np.eye(a.rows, dtype=np.int64)]), a.q, max_pivot_col=n)
+    return _class_search(a, ech[:, n:], pivots, classes)
+
+
+def _class_search(a: FqMatrix, basis: np.ndarray, pivots, classes=None):
+    """``min_weight_search`` from the echelon form [Y A | Y] of [A | I]: its
+    right block Y (``basis``) and its pivot columns, which it does not recompute."""
     q, k, n = a.q, a.rows, a.cols
     classes = np.arange(n + 1) if classes is None else np.asarray(list(classes), dtype=np.int64)
     if classes.size and not 0 <= classes.min() <= classes.max() <= n:
         raise ValueError(f"lead classes must lie in [0, {n}]")
-    ech, pivots = row_echelon(np.hstack([a.arr, np.eye(k, dtype=np.int64)]), q, max_pivot_col=n)
-    basis = ech[:, n:]
-    row_class = np.array(pivots + [n] * (k - len(pivots)), dtype=np.int64)
+    row_class = np.array(list(pivots) + [n] * (k - len(pivots)), dtype=np.int64)
     wanted = set(classes.tolist()) & set(row_class.tolist())  # the nonempty ones
     bound, coset_cost = {}, {}
     for i, (c, weight) in enumerate(zip(row_class.tolist(), np.count_nonzero(basis, axis=1).tolist())):
@@ -389,18 +400,21 @@ def _binary_layers(a: np.ndarray, depth: int):
         for left in range(max(0, v - (k - half)), min(v, half) + 1):
             # one more column, 0 on the left and 1 on the right, puts the lead
             # of an all-zero yA at class n
-            xs = np.pad(_weight_layer(a[:half], left), ((0, 0), (0, 1)))
-            ys = np.pad(_weight_layer(a[half:], v - left), ((0, 0), (0, 1)), constant_values=1)
+            xs = _weight_layer(a[:half], left, 0)
+            ys = _weight_layer(a[half:], v - left, 1)
             for _, _, nz in _pair_supports(xs, ys, 2):
                 reach += np.bincount(nz.argmax(axis=2).ravel(), minlength=n + 1)
         yield v, reach
 
 
-def _weight_layer(rows: np.ndarray, w: int) -> np.ndarray:
-    """y @ rows over F_2 for every y of weight w, as uint8 rows."""
-    m = len(rows)
+def _weight_layer(rows: np.ndarray, w: int, extra: int) -> np.ndarray:
+    """y @ rows over F_2 for every y of weight w, as uint8 rows, and one more column set to ``extra``."""
+    m, n = rows.shape
     supp = np.array(list(itertools.combinations(range(m), w)), dtype=np.intp).reshape(math.comb(m, w), w)
-    return np.bitwise_xor.reduce(rows.astype(np.uint8)[supp], axis=1)
+    out = np.empty((len(supp), n + 1), dtype=np.uint8)
+    np.bitwise_xor.reduce(rows.astype(np.uint8)[supp], axis=1, out=out[:, :n])
+    out[:, n] = extra
+    return out
 
 
 def _support_counts(a: np.ndarray, q: int, depth: int, bound=None) -> np.ndarray:

@@ -63,11 +63,11 @@ _EXHAUSTIVE_SUBSETS = 200_000
 
 
 def _mixing_echelon(m: FqMatrix):
-    """U1 of ``fqlin._augmented_echelon`` if M is mixing (some row of E has two nonzeros), else None."""
+    """(U1, E) of ``fqlin._augmented_echelon`` if M is mixing (some row of E has two nonzeros), else None."""
     if m.rows != m.cols:
         raise ValueError("mixing is defined for square matrices")
     factors = _augmented_echelon(m)
-    return factors[0] if factors is not None and (np.count_nonzero(factors[1], axis=1) > 1).any() else None
+    return factors if factors is not None and (np.count_nonzero(factors[1], axis=1) > 1).any() else None
 
 
 def is_mixing(m: FqMatrix) -> bool:
@@ -143,12 +143,12 @@ def find_useful_containment_H(m: FqMatrix) -> ContainmentWitness:
     return _containment_witness(m, _mixing_echelon(m))
 
 
-def _containment_witness(m: FqMatrix, u1) -> ContainmentWitness:
+def _containment_witness(m: FqMatrix, factors) -> ContainmentWitness:
     """``find_useful_containment_H`` from ``_mixing_echelon(m)``, which it does not recompute."""
-    if u1 is None:
+    if factors is None:
         raise ValueError("no containment: matrix is not mixing")
     q, k = m.q, m.rows
-    perm, low2, u1_inv = _unit_lower(m, u1)
+    perm, low2, u1_inv = _unit_lower(m, factors[0])
 
     s = int(np.flatnonzero((low2 != 0).sum(axis=0) >= 2)[-1])
     r = int(np.flatnonzero(low2[:, s])[-1])
@@ -392,25 +392,27 @@ class KernelReport:
 def kernel_report(m: FqMatrix, block_cols: int | None = None) -> KernelReport:
     """Assemble the standard report: mixing, H-witness, block distance, exponents.
 
-    The block distance comes from one ``fqlin.min_weight_search`` within
-    its default budget (POLARLAB_BUDGET, else 10^7 candidates) and raises
-    BudgetExceeded beyond it.  The leading exponents come from
-    ``polarlab.leading_exponents``, the same search over every lead class,
-    under the same budget.  Exponents over budget are reported as None, as
-    for a kernel that is not mixing.
+    One echelon form [U1 | E] of [M | I] serves the mixing test, the
+    witness and the exponent search.  The block distance comes from one
+    ``fqlin.min_weight_search`` within its default budget (POLARLAB_BUDGET,
+    else 10^7 candidates) and raises BudgetExceeded beyond it.  The leading
+    exponents are those of ``polarlab.leading_exponents``, the same search
+    over every lead class, read off E under the same budget: a mixing kernel
+    is invertible, so no second singularity check is needed.  Exponents over
+    budget are reported as None, as for a kernel that is not mixing.
     """
     if block_cols is not None and not 0 <= block_cols <= m.cols:
         raise ValueError(f"block_cols must lie in [0, {m.cols}], got {block_cols}")
-    u1 = _mixing_echelon(m)
-    mixing = u1 is not None
-    witness = _containment_witness(m, u1) if mixing else None
+    factors = _mixing_echelon(m)
+    mixing = factors is not None
+    witness = _containment_witness(m, factors) if mixing else None
     distance = None
     if block_cols is not None:
         distance = left_kernel_distance(FqMatrix(m.q, m.arr[:, :block_cols]))
     exponents = eta = b = None
     if mixing:
         try:
-            lead = polarlab.leading_exponents(m)
+            lead = polarlab._search_exponents(m, factors[1])
         except BudgetExceeded:
             pass
         else:

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fqlin import FqMatrix, _support_counts, check_budget, min_weight_search, row_echelon
+from .fqlin import FqMatrix, _augmented_echelon, _class_search, _support_counts, check_budget, row_echelon
 
 __all__ = [
     "ErasurePolynomialSet",
@@ -196,15 +196,24 @@ def leading_exponents(m) -> LeadingExponents:
     Given an invertible ``FqMatrix``, d[j] and constants[j] are the least
     weight and the number of least-weight supports in lead class j of
     ``fqlin.min_weight_search``, which raises BudgetExceeded when its plan
-    is over budget.
+    is over budget.  One echelon form of [M | I] serves both the
+    singularity check and the search.
     """
     if isinstance(m, ErasurePolynomialSet):
         return _count_exponents(m.counts)
     if m.rows != m.cols:
         raise ValueError("kernel must be square")
-    if len(row_echelon(m.arr, m.q)[1]) < m.rows:
+    factors = _augmented_echelon(m)
+    if factors is None:
         raise ValueError("singular kernel")
-    return LeadingExponents(*min_weight_search(m, range(m.rows)))
+    return _search_exponents(m, factors[1])
+
+
+def _search_exponents(m: FqMatrix, e: np.ndarray) -> LeadingExponents:
+    """``leading_exponents`` of an invertible M from the right block E of the
+    echelon form [U1 | E] of [M | I], which it does not recompute."""
+    k = m.rows
+    return LeadingExponents(*_class_search(m, e, range(k), range(k)))
 
 
 def _count_exponents(counts: np.ndarray) -> LeadingExponents:

@@ -37,6 +37,45 @@ def is_mixing_brute(m: FqMatrix) -> bool:
     )
 
 
+def row_echelon_oracle(a: np.ndarray, q: int, reduced: bool = False, max_pivot_col=None):
+    """``fqlin.row_echelon`` by filtered elimination, one pivot at a time.
+
+    The first row with a nonzero entry in the current column is the pivot;
+    it is scaled to a leading 1, and only the rows with a nonzero entry in
+    that column are gathered, updated and scattered back.  The reduced pass
+    clears the pivot columns from the rows above the same way.
+    ``fqlin.row_echelon`` updates every row in place and is tested against it.
+    """
+    a = np.array(a, dtype=np.int64) % q
+    r, c = a.shape
+    limit = c if max_pivot_col is None else max_pivot_col
+    pivots = []
+    row = 0
+    for col in range(limit):
+        if row == r:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        p = row + int(nz[0])
+        if p != row:
+            a[[row, p]] = a[[p, row]]
+        inv = pow(int(a[row, col]), -1, q)
+        a[row] = a[row] * inv % q
+        below = np.nonzero(a[row + 1 :, col])[0] + row + 1
+        if below.size:
+            a[below] = (a[below] - np.outer(a[below, col], a[row])) % q
+        pivots.append(col)
+        row += 1
+    if reduced:
+        for i in reversed(range(len(pivots))):
+            col = pivots[i]
+            above = np.nonzero(a[:i, col])[0]
+            if above.size:
+                a[above] = (a[above] - np.outer(a[above, col], a[i])) % q
+    return a, pivots
+
+
 def plu_oracle(m: FqMatrix):
     """(perm, lower, upper) arrays with m[perm] == lower @ upper, by its own elimination.
 

@@ -16,6 +16,7 @@ from polarkit.fqlin import (
     min_weight_search,
     plu_decompose,
     qary_words,
+    row_echelon,
     tensor_apply,
 )
 
@@ -28,6 +29,7 @@ from helpers import (
     left_null_space,
     plu_oracle,
     random_invertible,
+    row_echelon_oracle,
     support_counts_layered,
     tensor_apply_dense,
 )
@@ -101,6 +103,40 @@ def test_inverse_singular_raises():
 
 def test_rank_triangular():
     assert FqMatrix(2, [[1, 0], [1, 1]]).rank() == 2
+
+
+_ECHELON_SHAPES = [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (4, 8), (6, 4), (5, 5), (8, 16), (12, 24)]
+
+
+def _echelon_cases(q, rng, draws=12):
+    """Per shape, ``draws`` random arrays, each reduced and not, with and
+    without a pivot limit: some of low rank, some with a zero column, and
+    half with entries shifted outside [0, q), negative ones included."""
+    for r, c in _ECHELON_SHAPES:
+        for trial in range(draws):
+            a = rng.integers(0, q, size=(r, c))
+            if trial % 3 == 1 and min(r, c) > 1:
+                rank = int(rng.integers(1, min(r, c)))
+                a = rng.integers(0, q, size=(r, rank)) @ rng.integers(0, q, size=(rank, c)) % q
+            if trial % 4 == 2 and c:
+                a[:, int(rng.integers(0, c))] = 0
+            if trial % 2 == 0:
+                a = a + q * rng.integers(-2, 3, size=a.shape)
+            limit = int(rng.integers(0, c + 1))
+            for reduced in (False, True):
+                for max_pivot_col in (None, limit):
+                    yield a, reduced, max_pivot_col
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def test_row_echelon_matches_the_filtered_oracle(q):
+    # 528 cases per field: the one-update-per-pivot elimination returns the
+    # oracle's array, dtype and pivot list exactly
+    for a, reduced, max_pivot_col in _echelon_cases(q, np.random.default_rng(q)):
+        ech, pivots = row_echelon(a, q, reduced, max_pivot_col)
+        want, want_pivots = row_echelon_oracle(a, q, reduced, max_pivot_col)
+        assert ech.dtype == want.dtype and np.array_equal(ech, want), (a.tolist(), reduced, max_pivot_col)
+        assert pivots == want_pivots and all(type(p) is int for p in pivots), (a.tolist(), reduced, max_pivot_col)
 
 
 def test_left_null_space_parity_check():
@@ -427,9 +463,10 @@ def _walk_kernels():
 @pytest.mark.parametrize("m", list(_walk_kernels()), ids=lambda m: f"q{m.q}-k{m.rows}")
 def test_support_walk_matches_layered_oracle(m, monkeypatch):
     # at the default chunk the k = 18 kernel's walk splits its layers into
-    # blocks; a 3-candidate chunk splits every layer past the first
+    # blocks; a 3-candidate chunk splits every layer past the first, and runs
+    # on the kernels up to k = 15, where it takes well under a second each
     expected = support_counts_layered(m.arr, m.q, m.rows)
-    for chunk in (fqlin._SEARCH_CHUNK, 3):
+    for chunk in (fqlin._SEARCH_CHUNK, 3) if m.rows <= 15 else (fqlin._SEARCH_CHUNK,):
         monkeypatch.setattr(fqlin, "_SEARCH_CHUNK", chunk)
         counts = fqlin._support_counts(m.arr, m.q, m.rows)
         assert counts.dtype == expected.dtype and np.array_equal(counts, expected), chunk

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from polarkit import kernelscope
+from polarkit import fqlin, kernelscope, polarlab
+from polarkit.cli import resolve_kernel
 from polarkit.fqlin import BUDGET_ENV, BudgetExceeded, FqMatrix, kron, kron_power, min_weight_search
 from polarkit.kernelscope import (
     ContainmentWitness,
@@ -269,6 +270,26 @@ def test_kernel_report_roundtrip():
     assert d["mixing"] is True and d["exponents"] == [1, 2]
     rep_inf = kernel_report(FqMatrix(2, [[1, 0], [1, 1]]), block_cols=2)
     assert rep_inf.to_dict()["distance"] == "inf"
+
+
+def test_kernel_report_reduces_m_and_i_once(monkeypatch):
+    # one echelon of [M | I] serves the mixing test, the witness and the
+    # exponent search; U1's inverse and the block's search are the others
+    m = resolve_kernel("hamming7", 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return echelon(*args, **kwargs)
+
+    echelon = fqlin.row_echelon
+    for module in (fqlin, kernelscope, polarlab):
+        monkeypatch.setattr(module, "row_echelon", counting)
+    rep = kernel_report(m, block_cols=3)
+    assert rep.mixing and rep.distance == 3
+    assert len(calls) == 3, calls
+    monkeypatch.undo()
+    assert np.array_equal(rep.exponents, leading_exponents(m).d)
 
 
 def test_left_kernel_distance_matches_kernel_enumeration():
